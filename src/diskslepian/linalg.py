@@ -24,80 +24,7 @@ __all__ = ["SymTridiagonal", "EigenPair", "symtri_eigen", "dense_sym_eigen",
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver failed to converge within the library's iteration budget."""
-
-
-_LD = np.longdouble
-
-
-def _tridiag_solve_ld(diag, off, shift, rhs):
-    """Solve (T - shift I) w = rhs for symmetric tridiagonal T in longdouble.
-
-    Gaussian elimination with partial pivoting; row swaps push fill-in to a
-    second superdiagonal (the dgttrf layout).  Near-singular pivots are
-    nudged, which is exactly what inverse iteration wants.
-    """
-    n = len(diag)
-    d = np.asarray(diag, dtype=_LD) - _LD(shift)
-    lo = np.asarray(off, dtype=_LD).copy() if n > 1 else np.zeros(0, _LD)
-    up = lo.copy()
-    up2 = np.zeros(max(n - 2, 0), dtype=_LD)
-    b = np.asarray(rhs, dtype=_LD).copy()
-    scale = max(np.max(np.abs(d)), np.max(np.abs(lo)) if n > 1 else _LD(0))
-    tiny = np.finfo(_LD).eps * scale * n
-    for i in range(n - 1):
-        if abs(d[i]) < abs(lo[i]):
-            # swap rows i, i+1
-            d[i], lo[i] = lo[i], d[i]
-            up[i], d[i + 1] = d[i + 1], up[i]
-            if i + 1 < n - 1:
-                up2[i], up[i + 1] = up[i + 1], _LD(0.0)
-            b[i], b[i + 1] = b[i + 1], b[i]
-        if d[i] == 0:
-            d[i] = tiny if tiny > 0 else _LD(1e-30)
-        m = lo[i] / d[i]
-        d[i + 1] -= m * up[i]
-        if i + 1 < n - 1:
-            up[i + 1] -= m * up2[i]
-        b[i + 1] -= m * b[i]
-    if d[n - 1] == 0:
-        d[n - 1] = tiny if tiny > 0 else _LD(1e-30)
-    w = np.zeros(n, dtype=_LD)
-    w[n - 1] = b[n - 1] / d[n - 1]
-    if n > 1:
-        w[n - 2] = (b[n - 2] - up[n - 2] * w[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        w[i] = (b[i] - up[i] * w[i + 1] - up2[i] * w[i + 2]) / d[i]
-    return w
-
-
-def _tridiag_matvec_ld(diag, off, v):
-    out = np.asarray(diag, dtype=_LD) * v
-    if len(diag) > 1:
-        e = np.asarray(off, dtype=_LD)
-        out[:-1] += e * v[1:]
-        out[1:] += e * v[:-1]
-    return out
-
-
-def _refine_tridiagonal_pair(diag, off, value, vector):
-    """One extended-precision inverse-iteration + Rayleigh-quotient step.
-
-    Double-precision eigenpairs carry absolute coefficient noise
-    ~eps*||T||/gap; downstream Rayleigh quotients against strongly graded
-    operators need the tiny trailing coefficients to much better absolute
-    accuracy than that, and one longdouble polish delivers it.
-    """
-    v = np.asarray(vector, dtype=_LD)
-    w = _tridiag_solve_ld(diag, off, value, v)
-    norm = np.sqrt(np.dot(w, w))
-    if not np.isfinite(norm) or norm == 0:
-        return float(value), np.asarray(vector, dtype=float)
-    w /= norm
-    if np.dot(w, v) < 0:
-        w = -w
-    lam = float(np.dot(w, _tridiag_matvec_ld(diag, off, w)))
-    return lam, w.astype(float)
+    """Eigensolver failed to converge, or its result broke a physical bound."""
 
 
 class AsymmetryError(ValueError):
@@ -155,12 +82,8 @@ def _fix_sign(v):
     return -v if v[i] < 0 else v
 
 
-def symtri_eigen(T, count, refine=True):
-    """Lowest ``count`` eigenpairs of a SymTridiagonal, values ascending.
-
-    With ``refine`` (default) each pair gets one extended-precision
-    inverse-iteration/Rayleigh polish on top of the LAPACK solve.
-    """
+def symtri_eigen(T, count):
+    """Lowest ``count`` eigenpairs of a SymTridiagonal, values ascending."""
     if count < 1 or count > T.dim:
         raise ValueError(f"count must be in [1, {T.dim}], got {count}")
     try:
@@ -174,12 +97,9 @@ def symtri_eigen(T, count, refine=True):
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
     pairs = []
     for j in range(count):
-        val, v = float(vals[j]), vecs[:, j].copy()
-        if refine and T.dim > 1:
-            val, v = _refine_tridiagonal_pair(T.diag, T.offdiag, val, v)
-        v = _fix_sign(v)
+        v = _fix_sign(vecs[:, j].copy())
         v /= np.linalg.norm(v)
-        pairs.append(EigenPair(val, v))
+        pairs.append(EigenPair(float(vals[j]), v))
     return pairs
 
 

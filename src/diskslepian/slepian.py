@@ -16,13 +16,26 @@ Sign convention: the paper-facing operator L satisfies L T = -chi T at
 c = 0, so the solver works with Lambda = -L whose spectrum is positive and
 increasing; all reported chi refer to Lambda.
 
-The integral eigenvalue mu_{N,n} (H phi = sqrt(c) mu phi) is recovered as a
-Rayleigh quotient <H phi, phi>_nu / (sqrt(c) <phi, phi>_nu) with H phi
-evaluated through the closed-form Hankel image of the basis functions
-(script-J of order N + nu + 2k + 1); that form has no cancellation against
-O(1) terms, so mu keeps full relative accuracy even at ~1e-14 magnitudes
-where a pointwise kernel quadrature would drown in summation noise.  The
-2D eigenvalue is lambda = 2 (nu+1) i^N mu.
+The integral eigenvalue mu_{N,n} (H phi = sqrt(c) mu phi) follows in
+closed form from the coefficient vector (Slepian's coefficient-ratio
+identity).  Let x -> 0 in the eigenrelation.  On the left, script-J_N(z) ~
+z^(N+1/2) / (2^N N!), so H phi(x) ~ (c x)^(N+1/2) / (2^N N!) times the
+moment <x^(N+1/2), phi>_nu; x^(N+1/2) = T_{N,0} is orthogonal to every
+higher basis function, so that moment is A_0 sqrt(h_0).  On the right,
+P_k^{(N,nu)}(1) = (k+N)!/(N! k!) gives phi(x) ~ x^(N+1/2) sum_k A_k h_k^(-1/2).
+With h_0 = N! Gamma(nu+1) / (2 Gamma(N+nu+2)) this yields
+
+    mu = c^N Gamma(nu+1) A_0
+         / (2^(N+1) Gamma(N+nu+2) sqrt(h_0) sum_k A_k h_k^(-1/2)),
+
+with the prefactor assembled in log space.  A_0 is carried up from the
+peak coefficient through the leading rows of the tridiagonal system, since
+for small c and high n it lies far below the roundoff of the eigenvector.
+It needs no quadrature and no Bessel function, so it holds for every c the
+truncation reaches.  The 2D
+eigenvalue is lambda = 2 (nu+1) i^N mu; |lambda| <= 1 because the transform
+is a contraction under a probability weight, and a solve that breaks this
+raises ConvergenceError.
 """
 
 import math
@@ -30,15 +43,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SymTridiagonal, symtri_eigen
-from .orthopoly import TBasisIndex, jacobi_sequence, t_norm_sq, x2_recurrence_coeffs
-from .quadrature import radial_rule
-from .specfun import j_script_over_power_array
+from .linalg import ConvergenceError, SymTridiagonal, symtri_eigen
+from .orthopoly import TBasisIndex, t_norm_sq, x2_recurrence_coeffs
 
 __all__ = ["SlepianParams", "RadialMode", "chi0", "build_spectral_matrix",
            "solve_modes", "eval_phi", "eval_R", "eval_psi", "TruncationError"]
-
-_LD = np.longdouble
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -134,33 +143,37 @@ def _tails_ok(pairs, tolerance):
     return True
 
 
-def _hankel_basis_matrix(params, K, n_quad):
-    """G[k, j] = <H T-hat_k, T-hat_j>_nu via the closed-form Hankel image.
+def _leading_coeffs(T, pairs, vecs):
+    """A_0 of each eigenpair, from its peak coefficient A_m.
 
-    H T-hat_k(x) = chat_k 2^nu Gamma(nu+k+1)/k! scriptJ_{N+nu+2k+1}(c x)/(c x)^{nu+1}.
-    All pieces are assembled in longdouble; each integrand is uniformly tiny
-    (O of the eigenvalue it produces), so no precision is lost to
-    cancellation.
+    Rows 0..m-1 of (T - chi) A = 0 give the ratios r_k = A_k / A_{k+1} by
+    the continued fraction r_k = -e_k / (d_k - chi + e_{k-1} r_{k-1}), so
+    A_0 = A_m r_0 ... r_{m-1}.  This keeps full relative accuracy where A_0
+    is far below the eigenvector's roundoff level (small c, high n), which
+    the LAPACK component does not.
     """
+    d, e = T.diag, T.offdiag
+    chi = np.array([p.value for p in pairs])
+    peak = np.argmax(np.abs(vecs), axis=1)
+    prod = np.ones(len(pairs))
+    r = np.zeros(len(pairs))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(int(peak.max(initial=0))):
+            r = -e[k] / (d[k] - chi + (e[k - 1] * r if k else 0.0))
+            prod = np.where(k < peak, prod * r, prod)
+    return vecs[np.arange(len(pairs)), peak] * prod
+
+
+def _mu_values(params, T, pairs):
+    """mu of each eigenpair by the closed form of the module docstring."""
     nu, c, N = params.nu, params.c, params.N
-    rule = radial_rule(n_quad, nu)
-    x = np.asarray(rule.nodes, dtype=_LD)
-    w = np.asarray(rule.weights, dtype=_LD)
-    u = 1 - 2 * x * x
-    pseq = jacobi_sequence(K - 1, N, nu, u)  # longdouble via u dtype
-    xpow = x ** _LD(N + 0.5)
-    that = np.empty((K, len(x)), dtype=_LD)
-    log_chat = np.array([_log_norm_const(N, k, nu) for k in range(K)])
-    for k in range(K):
-        that[k] = np.exp(_LD(log_chat[k])) * xpow * pseq[k]
-    bmat = np.empty((K, len(x)), dtype=_LD)
-    for k in range(K):
-        order = N + nu + 2 * k + 1
-        log_g = (log_chat[k] + nu * math.log(2.0)
-                 + math.lgamma(nu + k + 1) - math.lgamma(k + 1))
-        kern = j_script_over_power_array(order, c * x, nu + 1)
-        bmat[k] = np.exp(_LD(log_g)) * kern * w
-    return bmat @ that.T
+    if c == 0:
+        return np.zeros(len(pairs))
+    inv_sqrt_h = np.array([t_norm_sq(TBasisIndex(N, k, nu)) for k in range(T.dim)]) ** -0.5
+    log_pref = (N * math.log(c) + math.lgamma(nu + 1) - (N + 1) * math.log(2.0)
+                - math.lgamma(N + nu + 2) + math.log(inv_sqrt_h[0]))
+    vecs = np.array([p.vector for p in pairs])
+    return math.exp(log_pref) * _leading_coeffs(T, pairs, vecs) / (vecs @ inv_sqrt_h)
 
 
 def solve_modes(params, num_modes):
@@ -188,22 +201,17 @@ def solve_modes(params, num_modes):
                 f"needed truncation beyond {_MAX_TRUNCATION} for c={c}")
         K *= 2
 
-    if c > 0:
-        n_quad = max(200, K + N + 40)
-        gmat = _hankel_basis_matrix(params, K, n_quad)
-    ipow = _I_POW[N % 4]
+    mus = _mu_values(params, T, pairs)
+    lams = 2 * (nu + 1) * _I_POW[N % 4] * mus
+    if not np.all(np.abs(lams) <= 1 + 1e-12):  # also refuses NaN
+        raise ConvergenceError(
+            f"|lambda| = {np.max(np.abs(lams)):.3g} exceeds 1 at nu={nu}, c={c}, N={N}")
     modes = []
-    for n, p in enumerate(pairs):
-        if c == 0:
-            mu = 0.0
-        else:
-            a_ld = np.asarray(p.vector, dtype=_LD)
-            mu = float((a_ld @ (gmat @ a_ld)) / (a_ld @ a_ld) / np.sqrt(_LD(c)))
-        lam = 2 * (nu + 1) * ipow * mu
+    for n, (p, mu, lam) in enumerate(zip(pairs, mus, lams)):
         coeffs = p.vector.copy()
         coeffs.setflags(write=False)
-        modes.append(RadialMode(n=n, chi=float(p.value), mu=mu, lam=lam,
-                                coeffs=coeffs, truncation=K))
+        modes.append(RadialMode(n=n, chi=float(p.value), mu=float(mu),
+                                lam=complex(lam), coeffs=coeffs, truncation=K))
     return modes
 
 

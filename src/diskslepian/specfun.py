@@ -254,9 +254,13 @@ def j_script_over_power_array(order, z, power):
     Computes sqrt(z) J_order(z) / z**power = z**(order + 1/2 - power)
     * j_order(z) / (2**order Gamma(order+1)) entirely in longdouble, with the
     power/Gamma prefactor assembled in log space so very high orders neither
-    overflow nor underflow prematurely.  Valid for |z| <= the series cutoff.
+    overflow nor underflow prematurely.  The series is valid only for
+    |z| <= _SERIES_CUTOFF; larger arguments raise ValueError.
     """
     z = np.asarray(z, dtype=_LD)
+    if z.size and np.max(np.abs(z)) > _SERIES_CUTOFF:
+        raise ValueError(f"power series needs |z| <= {_SERIES_CUTOFF}, "
+                         f"got {float(np.max(np.abs(z))):.6g}")
     small = _j_small_series_array(order, z)
     expo = _LD(order) + _LD(0.5) - _LD(power)
     log_pref = -_LD(order) * np.log(_LD(2.0)) - _lgamma_ld(order + 1)

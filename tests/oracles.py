@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values from first principles: extended
 precision series (mpmath), finite hypergeometric sums, adaptive Simpson
-quadrature, and Sturm-sequence bisection for tridiagonal spectra.
+quadrature, Sturm-sequence bisection for tridiagonal spectra, and an
+extended-precision eigensolve of the radial spectral matrix.
 """
 
 import mpmath as mp
@@ -100,3 +101,40 @@ def tridiag_eigs_bisect(diag, off, count, tol=mp.mpf("1e-25")):
                 lo = mid
         out.append((lo + hi) / 2)
     return out
+
+
+def slepian_mu_mp(nu, c, N, K, count, dps=80):
+    """mu_{N,n}, n < count, from an extended-precision eigensolve of the
+    K x K spectral matrix of Lambda = -L_{c,N,nu} in the orthonormalized
+    T basis, through Slepian's coefficient-ratio formula.
+
+    The norms h_k and the x^2 recurrence of T_{N,k}(x) = x^(N+1/2) N! k!/(k+N)!
+    P_k^{(N,nu)}(1-2x^2) are written out here from the Jacobi polynomial
+    identities; ``dps`` must leave digits to spare below the smallest
+    coefficient A_0 (about mu itself).
+    """
+    with mp.workdps(dps):
+        nu, c = mp.mpf(nu), mp.mpf(c)
+
+        def h(k):
+            return mp.exp(2 * mp.loggamma(N + 1) + mp.loggamma(k + 1)
+                          + mp.loggamma(k + nu + 1) - mp.log(2 * (2 * k + N + nu + 1))
+                          - mp.loggamma(k + N + 1) - mp.loggamma(k + N + nu + 1))
+
+        T = mp.zeros(K, K)
+        for k in range(K):
+            s = 2 * k + N + nu
+            a = -(k + N + 1) * (k + N + nu + 1) / ((s + 1) * (s + 2))
+            b = (nu - N) / (N + nu + 2) if k == 0 else (nu * nu - N * N) / (s * (s + 2))
+            T[k, k] = (N + 2 * k + mp.mpf(1) / 2) * (N + 2 * nu + 2 * k + mp.mpf(3) / 2) \
+                + c * c * (1 - b) / 2
+            if k < K - 1:
+                T[k, k + 1] = T[k + 1, k] = c * c * a * mp.sqrt(h(k + 1) / h(k))
+        E, Q = mp.eigsy(T)
+        order = sorted(range(K), key=lambda i: E[i])
+        pref = c ** N * mp.gamma(nu + 1) / (2 ** (N + 1) * mp.gamma(N + nu + 2) * mp.sqrt(h(0)))
+        out = []
+        for j in order[:count]:
+            tip = sum(Q[k, j] / mp.sqrt(h(k)) for k in range(K))
+            out.append(float(pref * Q[0, j] / tip))
+        return out

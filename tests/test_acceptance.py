@@ -278,11 +278,15 @@ def test_criterion_11_orthonormality():
 
 
 def test_criterion_12_eigenvalue_ordering():
-    lams = []
-    for N in range(4):
-        p = SlepianParams(nu=1.0, c=3.0, N=N)
-        lams.extend(abs(m.lam) for m in sl.solve_modes(p, 6))
-    merged = sorted(lams, reverse=True)
-    ok = all(a >= b for a, b in zip(merged, merged[1:])) and merged[-1] >= 0.0
-    worst = 0.0 if ok else 1.0
-    _report(12, "merged |lambda| ordering", worst, 0.5)
+    # |lambda_{N,n}| is non-increasing in n and in N (1e-9 relative slack for
+    # the large-c plateau of nearly equal |lambda|) and bounded by 1; worst
+    # is the largest violation of any of the three claims
+    worst = 0.0
+    for nu in (0.0, 1.0, 2.5):
+        for c in (0.5, 3.0, 10.0, 40.0, 80.0):
+            mags = np.array([[abs(m.lam) for m in sl.solve_modes(SlepianParams(nu, c, N), 8)]
+                             for N in range(6)])
+            worst = max(worst, np.max(mags) - 1.0,
+                        np.max(mags[:, 1:] - mags[:, :-1] * (1 + 1e-9)),
+                        np.max(mags[1:, :] - mags[:-1, :] * (1 + 1e-9)))
+    _report(12, "|lambda| monotone in n and N, <= 1", worst, 0.0)

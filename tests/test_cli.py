@@ -177,6 +177,15 @@ class TestExitCodes:
         assert run_cli("eigs", "--nu", "0", "--c", "1e9", "--N", "0",
                        "--modes", "1") == 3
 
+    def test_lambda_above_one_is_numerical_failure(self, capsys, monkeypatch):
+        from diskslepian import slepian as sl
+        monkeypatch.setattr(sl, "_mu_values",
+                            lambda params, T, pairs: np.full(len(pairs), 0.75))
+        code, out = run_cli_out(capsys, "eigs", "--nu", "0", "--c", "1",
+                                "--N", "0", "--modes", "2")
+        assert code == 3
+        assert out == ""
+
     def test_invalid_domain_is_usage(self):
         assert run_cli("eigs", "--nu", "-2", "--c", "1", "--N", "0",
                        "--modes", "1") == 2

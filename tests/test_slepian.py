@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,13 @@ from diskslepian import slepian as sl
 from diskslepian.orthopoly import TBasisIndex, t_basis, t_norm_sq
 from diskslepian.quadrature import disk_rule, radial_rule
 from diskslepian.slepian import RadialMode, SlepianParams, TruncationError
+
+import oracles
+
+_BENCH_ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+_spec = importlib.util.spec_from_file_location("bench_oracle", _BENCH_ORACLE)
+bench_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_oracle)
 
 
 class TestChi0:
@@ -211,14 +220,61 @@ class TestEvaluation:
         assert worst <= 1e-6
 
     def test_lambda_magnitude_ordering_merged(self):
-        nu, c = 1.0, 2.0
-        lams = []
-        for N in range(4):
-            p = SlepianParams(nu=nu, c=c, N=N)
-            lams.extend(abs(m.lam) for m in sl.solve_modes(p, 6))
-        merged = sorted(lams, reverse=True)
-        assert all(a >= b for a, b in zip(merged, merged[1:]))
-        assert merged[-1] >= 0.0
+        # |lambda_{N,n}| does not increase in n or in N and never exceeds 1,
+        # on merged families up to the large-c plateau of nearly equal |lambda|
+        nu = 1.0
+        for c in (2.0, 80.0):
+            mags = np.array([[abs(m.lam) for m in sl.solve_modes(SlepianParams(nu, c, N), 6)]
+                             for N in range(4)])
+            assert np.all(mags <= 1 + 1e-12)
+            assert np.all(mags[:, 1:] <= mags[:, :-1] * (1 + 1e-9))
+            assert np.all(mags[1:, :] <= mags[:-1, :] * (1 + 1e-9))
+
+
+class TestLargeBandwidth:
+    """Spectra at c well past the small-argument Bessel regime, against
+    Nystrom oracles.  Magnitudes are compared sorted: on the large-c plateau
+    the two methods may order nearly equal magnitudes differently."""
+
+    @pytest.mark.parametrize("nu,c,N", [(0.0, 20.0, 0), (2.5, 20.0, 3),
+                                        (1.0, 40.0, 1), (0.0, 40.0, 2)])
+    def test_against_double_double_nystrom(self, nu, c, N):
+        modes = sl.solve_modes(SlepianParams(nu, c, N), 12)
+        ref = np.sort([abs(q.value) for q in ops.nystrom_hankel_eigs(nu, c, N, 300, 12)])
+        got = np.sort([abs(math.sqrt(c) * m.mu) for m in modes])
+        assert np.max(np.abs(got - ref) / ref) <= 1e-10
+
+    @pytest.mark.parametrize("nu,c,N", [(0.0, 80.0, 0), (1.0, 80.0, 1), (2.5, 80.0, 4),
+                                        (0.0, 200.0, 0), (2.5, 200.0, 4),
+                                        (1.0, 1000.0, 1), (2.5, 1000.0, 4)])
+    def test_against_plain_double_nystrom(self, nu, c, N):
+        # the benchmark's gate oracle: scipy Gauss-Jacobi nodes and jv at 400
+        # and 600 nodes, compared only at the ranks where the two sizes agree
+        count = 40
+        ref = bench_oracle.MuOracle(nu, c, N)
+        resolved = ref.resolved[:count]
+        assert np.count_nonzero(resolved) >= 25
+        modes = sl.solve_modes(SlepianParams(nu, c, N), count)
+        got = np.sort([abs(math.sqrt(c) * m.mu) for m in modes])[::-1]
+        err = np.abs(got - ref.values[:count]) / ref.values[:count]
+        assert np.max(err[resolved]) <= 1e-9
+
+    @pytest.mark.parametrize("N", [0, 3, 10])
+    def test_unweighted_plateau(self, N):
+        # at nu = 0 the concentration c (sqrt(c) mu)^2 of the leading modes
+        # tends to 1 exponentially fast in c, so c |mu| = 1 and |lambda| = 2/c,
+        # far inside the |lambda| <= 1 guard
+        c = 1000.0
+        modes = sl.solve_modes(SlepianParams(0.0, c, N), 5)
+        assert all(abs(c * abs(m.mu) - 1) <= 1e-12 for m in modes)
+
+    def test_deep_modes_keep_relative_accuracy(self):
+        # mu spans 0.5 down to 4e-47 here; A_0 of the high modes lies far
+        # below the roundoff of a double-precision eigenvector
+        ref = oracles.slepian_mu_mp(0.0, 0.5, 0, 30, 13)
+        modes = sl.solve_modes(SlepianParams(0.0, 0.5, 0), 13)
+        assert abs(ref[-1]) < 1e-46
+        assert all(abs(m.mu - r) <= 1e-12 * abs(r) for m, r in zip(modes, ref))
 
 
 class TestParamsValidation:

@@ -142,3 +142,10 @@ class TestNormalizedVariants:
             assert float(vi) == pytest.approx(sf.j_script(3.5, zi) / zi ** 1.5,
                                               rel=1e-12, abs=1e-14)
         assert float(arr[0]) == 0.0
+
+    def test_vectorized_kernel_refuses_beyond_series_cutoff(self):
+        ok = np.array([0.5, _SERIES_CUTOFF], dtype=np.longdouble)
+        assert np.all(np.isfinite(sf.j_script_over_power_array(2.0, ok, 0.0)))
+        for bad in ([0.5, _SERIES_CUTOFF * (1 + 1e-12)], [0.1, 40.0]):
+            with pytest.raises(ValueError):
+                sf.j_script_over_power_array(2.0, np.array(bad, dtype=np.longdouble), 0.0)
