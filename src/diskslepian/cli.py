@@ -181,8 +181,6 @@ def cmd_verify(args):
 
 
 def cmd_transform(args):
-    if args.rho is None or args.rho <= 0:
-        raise UsageError("--rho must be > 0")
     try:
         if args.family == "disk":
             if args.m is None:

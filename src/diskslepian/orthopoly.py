@@ -25,7 +25,6 @@ so they are finite for every index (a naive b_0 is 0/0 when N = nu) and
 satisfy the self-adjointness identity a_n h_{n+1} = c_{n+1} h_n exactly.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -126,16 +125,20 @@ def disk_poly(n, m, nu, r, theta):
     prefactor uses the index-symmetric q = min(n, m): both choices are
     pinned by the orthogonality relation <D_{n,m}, D_{l,k}> =
     delta delta / pi^nu_{m,n}, which fails under quadrature without them.
+    ``r`` and ``theta`` may be ndarrays; scalar input returns a complex.
     """
     if n < 0 or m < 0:
         raise ValueError("disk polynomial indices must be >= 0")
     if nu <= -1:
         raise ValueError("disk weight exponent must exceed -1")
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
     q = min(n, m)
     p = abs(n - m)
     pref = (-1.0) ** q * math.exp(_pochhammer_ratio_log(q, nu))
-    rad = jacobi_sequence(q, p, nu, 1.0 - 2.0 * float(r) ** 2)[q]
-    return pref * float(r) ** p * cmath.exp(1j * (n - m) * theta) * float(rad)
+    rad = jacobi_sequence(q, p, nu, 1.0 - 2.0 * r ** 2)[q]
+    out = pref * r ** p * np.exp(1j * (n - m) * theta) * rad
+    return out if out.ndim else complex(out)
 
 
 def disk_poly_norm(n, m, nu):
@@ -151,16 +154,20 @@ def gegenbauer2d(n, k, nu, x, y):
     """Two-variable Gegenbauer polynomial
     P^nu_{n,k}(x, y) = C_{n-k}^{nu+k+1/2}(x) (1-x^2)^{k/2} C_k^nu(y / sqrt(1-x^2)).
 
-    Requires 0 <= k <= n and |x| < 1.
+    Requires 0 <= k <= n and |x| < 1.  ``x`` and ``y`` may be ndarrays;
+    scalar input returns a float.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if abs(x) >= 1:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(np.abs(x) >= 1):
         raise ValueError("gegenbauer2d requires |x| < 1")
-    s = math.sqrt(1.0 - x * x)
+    s = np.sqrt(1.0 - x * x)
     outer = gegenbauer_c(n - k, nu + k + 0.5, x)
     inner = gegenbauer_c(k, nu, y / s) if k > 0 else 1.0
-    return float(outer) * s ** k * float(inner)
+    out = outer * s ** k * inner
+    return out if out.ndim else float(out)
 
 
 def _log_r_const(N, n):

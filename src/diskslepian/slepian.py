@@ -168,7 +168,11 @@ def _mu_values(params, T, pairs):
     """mu of each eigenpair by the closed form of the module docstring."""
     nu, c, N = params.nu, params.c, params.N
     if c == 0:
-        return np.zeros(len(pairs))
+        # T is diagonal, A = e_n: mu = 1/(2 (nu+1)) for N = n = 0, else 0
+        mus = np.zeros(len(pairs))
+        if N == 0:
+            mus[0] = 0.5 / (nu + 1)
+        return mus
     inv_sqrt_h = np.array([t_norm_sq(TBasisIndex(N, k, nu)) for k in range(T.dim)]) ** -0.5
     log_pref = (N * math.log(c) + math.lgamma(nu + 1) - (N + 1) * math.log(2.0)
                 - math.lgamma(N + nu + 2) + math.log(inv_sqrt_h[0]))

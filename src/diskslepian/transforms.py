@@ -14,13 +14,18 @@ Three families:
   two-variable Gegenbauer polynomial P^{nu+1/2}_{n,k}:
   Z * rho^-(nu+1) J_{nu+n+1}(rho) sin(phi)^k C_{n-k}^{nu+k+1}(cos phi).
 
-Constants policy: the printed prefactors of both 2D families fail their own
-consistency anchor (the n=m=0 transform of the constant function must equal
-the iterated-kernel value j_{nu+1}(rho), which pins C_{0,0} = Gamma(nu+2));
-the shipped default is therefore a constant derived once per index family
-from a single quadrature evaluation at a reference point, cached, and the
-derived/printed ratio is attached to every result for logging.  The printed
-constants stay available behind ``constant_source="paper"``.
+Constants policy: both families ship closed-form constants,
+
+    C_{n,m} = i^(n+m) Gamma(nu+2),
+    Z_{n,k} = i^n 2^(nu+1) Gamma(nu+2) (2nu+1)_k / k!,
+
+checked against ``verification.quadrature_constant`` (one disk-rule
+transform divided by the shape at a fixed reference point) in the
+theorem41 verify suite and the test suite.  The printed prefactors fail
+their own consistency anchor (the n=m=0 transform of the constant function
+must equal the iterated-kernel value j_{nu+1}(rho), which pins C_{0,0} =
+Gamma(nu+2)); they stay available behind ``constant_source="paper"``, and
+every default result carries the shipped/printed ratio for logging.
 
 Shape corrections relative to the printed statements (both forced by
 constant-free two-point ratio tests and by the radial structure of the
@@ -29,40 +34,30 @@ its operand, and the two-variable image carries rho^-(nu+1) (not rho^(k-n))
 together with a sin(phi)^k factor, without which the image of a y-odd
 polynomial would be even in phi.
 
-Reference points for the constant derivation walk outward through a fixed
-radius ladder until the Bessel factor exceeds 1e-3 in magnitude, so the
-division never happens near a Bessel zero.
+Domain (else ValueError): nu > -1, and nu != -1/2 for the Gegenbauer
+family, where its inner order vanishes; integer indices >= 0 with k <= n;
+finite angle; 0 < rho <= 60 and Bessel order <= 40, where ``bessel_j`` is
+validated.
 """
 
 import cmath
 import math
-import threading
+import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
-from .orthopoly import gegenbauer_c, jacobi_sequence
-from .quadrature import disk_rule
+from .orthopoly import gegenbauer_c
 from .specfun import bessel_j, gamma_fn, j_script
 
 __all__ = ["ClosedFormResult", "lemma1_rhs", "disk_transform_closed",
-           "gegenbauer2d_transform_closed", "disk_poly_on_rule",
-           "gegenbauer2d_on_rule", "derived_constant"]
-
-_REF_RADII = (1.3, 2.1, 3.7, 5.5, 8.0, 11.0, 15.5)
-_REF_ANGLE = 0.7
-_CONSTANT_RULE = (150, 256)
-
-_cache = {}
-_cache_lock = threading.Lock()
+           "gegenbauer2d_transform_closed"]
 
 
 @dataclass(frozen=True)
 class ClosedFormResult:
     """Closed-form transform value with constant provenance.
 
-    ``discrepancy_log`` holds the derived/printed constant ratio whenever
-    the derived constant is in use (None for constant_source="paper").
+    ``discrepancy_log`` holds the shipped/printed constant ratio whenever
+    the shipped constant is in use (None for constant_source="paper").
     """
 
     value: complex
@@ -81,21 +76,9 @@ def lemma1_rhs(alpha, beta, n, x):
     return pref * j_script(alpha + beta + 2 * n + 1, x) / x ** (beta + 1)
 
 
-def disk_poly_on_rule(n, m, nu, rule):
-    """Disk polynomial values on all nodes of a DiskRule (vectorized)."""
-    q, p = min(n, m), abs(n - m)
-    pref = (-1.0) ** q * math.exp(
-        math.lgamma(q + 1) + math.lgamma(nu + 1) - math.lgamma(nu + 1 + q))
-    rad = jacobi_sequence(q, p, nu, 1.0 - 2.0 * rule.rs ** 2)[q]
-    return pref * rule.rs ** p * np.exp(1j * (n - m) * rule.angles) * rad
-
-
-def gegenbauer2d_on_rule(n, k, base, rule):
-    """P^{base}_{n,k} values on all nodes of a DiskRule (vectorized)."""
-    s = np.sqrt(1.0 - rule.xs ** 2)
-    outer = gegenbauer_c(n - k, base + k + 0.5, rule.xs)
-    inner = gegenbauer_c(k, base, rule.ys / s) if k > 0 else np.ones_like(s)
-    return outer * s ** k * inner
+def _rising(a, k):
+    """Pochhammer symbol (a)_k as a product (keeps the sign for a < 0)."""
+    return math.prod(a + j for j in range(k))
 
 
 def _disk_shape(nu, n, m, rho, vartheta):
@@ -108,6 +91,15 @@ def _gegen2d_shape(nu, n, k, rho, phi):
             * math.sin(phi) ** k * float(gegenbauer_c(n - k, nu + k + 1, math.cos(phi))))
 
 
+def _disk_constant(nu, n, m):
+    return 1j ** ((n + m) % 4) * gamma_fn(nu + 2)
+
+
+def _gegen2d_constant(nu, n, k):
+    return (1j ** (n % 4) * 2.0 ** (nu + 1) * gamma_fn(nu + 2)
+            * _rising(2 * nu + 1, k) / math.factorial(k))
+
+
 def _paper_disk_constant(nu, n, m):
     q = min(n, m)
     return ((-1.0) ** m * (nu + 1) * 1j ** (n - m)
@@ -115,75 +107,47 @@ def _paper_disk_constant(nu, n, m):
 
 
 def _paper_gegen2d_constant(nu, n, k):
-    poch = math.exp(math.lgamma(2 * nu + 1 + n) - math.lgamma(2 * nu + 1))
     return (2.0 ** (nu + 1) * gamma_fn(nu + 1) * math.pi
-            * (-1.0) ** n * poch / (1j ** k * math.factorial(2 * n)))
+            * (-1.0) ** n * _rising(2 * nu + 1, n) / (1j ** k * math.factorial(2 * n)))
 
 
-def _reference_point(order):
-    for rho in _REF_RADII:
-        if abs(bessel_j(order, rho)) >= 1e-3:
-            return rho, _REF_ANGLE
-    return _REF_RADII[-1], _REF_ANGLE
+def _check_domain(nu, indices, rho, angle, order):
+    if not nu > -1:
+        raise ValueError(f"nu must exceed -1, got {nu}")
+    if any(not isinstance(i, numbers.Integral) or i < 0 for i in indices):
+        raise ValueError("indices must be integers >= 0")
+    if not math.isfinite(angle):
+        raise ValueError("the angle must be finite")
+    if not 0 < rho <= 60:
+        raise ValueError(f"rho must be in (0, 60], got {rho}")
+    if order > 40:
+        raise ValueError(f"Bessel order {order:g} exceeds 40")
 
 
-def derived_constant(family, nu, n, m):
-    """Constant fixed by one quadrature evaluation at a reference point.
-
-    Cached write-once per (family, nu, n, m); safe for concurrent readers.
-    """
-    key = (family, float(nu), int(n), int(m))
-    val = _cache.get(key)
-    if val is not None:
-        return val
-    rule = disk_rule(*_CONSTANT_RULE, float(nu))
-    if family == "disk":
-        rho, vth = _reference_point(nu + n + m + 1)
-        vals = disk_poly_on_rule(n, m, nu, rule)
-        shape = _disk_shape(nu, n, m, rho, vth)
-    elif family == "gegen2d":
-        rho, vth = _reference_point(nu + n + 1)
-        vals = gegenbauer2d_on_rule(n, m, nu + 0.5, rule)
-        shape = _gegen2d_shape(nu, n, m, rho, vth)
-    else:
-        raise ValueError(f"unknown transform family {family!r}")
-    y = (rho * math.cos(vth), rho * math.sin(vth))
-    phase = np.exp(1j * (rule.xs * y[0] + rule.ys * y[1]))
-    quad = complex(np.sum(rule.weights * phase * vals))
-    const = quad / shape
-    with _cache_lock:
-        val = _cache.setdefault(key, const)
-    return val
+def _result(const, paper, shape, constant_source):
+    if constant_source == "paper":
+        return ClosedFormResult(paper * shape, "paper")
+    if constant_source != "derived":
+        raise ValueError("constant_source must be 'derived' or 'paper'")
+    return ClosedFormResult(const * shape, "derived", const / paper)
 
 
 def disk_transform_closed(nu, n, m, rho, vartheta, constant_source="derived"):
     """Closed-form weighted Fourier transform (c=1) of the disk polynomial
     D^nu_{n,m}, evaluated at y = (rho cos vartheta, rho sin vartheta)."""
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    shape = _disk_shape(nu, n, m, rho, vartheta)
-    paper = _paper_disk_constant(nu, n, m)
-    if constant_source == "paper":
-        return ClosedFormResult(paper * shape, "paper")
-    if constant_source != "derived":
-        raise ValueError("constant_source must be 'derived' or 'paper'")
-    const = derived_constant("disk", nu, n, m)
-    return ClosedFormResult(const * shape, "derived", const / paper)
+    _check_domain(nu, (n, m), rho, vartheta, nu + n + m + 1)
+    return _result(_disk_constant(nu, n, m), _paper_disk_constant(nu, n, m),
+                   _disk_shape(nu, n, m, rho, vartheta), constant_source)
 
 
 def gegenbauer2d_transform_closed(nu, n, k, rho, phi, constant_source="derived"):
     """Closed-form weighted Fourier transform (c=1, weight w_nu) of the
     two-variable Gegenbauer polynomial P^{nu+1/2}_{n,k} at
     y = (rho cos phi, rho sin phi)."""
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    if not 0 <= k <= n:
+    _check_domain(nu, (n, k), rho, phi, nu + n + 1)
+    if nu == -0.5:
+        raise ValueError("the Gegenbauer family needs nu != -1/2")
+    if not k <= n:
         raise ValueError("need 0 <= k <= n")
-    shape = _gegen2d_shape(nu, n, k, rho, phi)
-    paper = _paper_gegen2d_constant(nu, n, k)
-    if constant_source == "paper":
-        return ClosedFormResult(paper * shape, "paper")
-    if constant_source != "derived":
-        raise ValueError("constant_source must be 'derived' or 'paper'")
-    const = derived_constant("gegen2d", nu, n, k)
-    return ClosedFormResult(const * shape, "derived", const / paper)
+    return _result(_gegen2d_constant(nu, n, k), _paper_gegen2d_constant(nu, n, k),
+                   _gegen2d_shape(nu, n, k, rho, phi), constant_source)

@@ -12,10 +12,10 @@ import pytest
 from diskslepian import operators as ops
 from diskslepian import slepian as sl
 from diskslepian import transforms as tr
-from diskslepian.orthopoly import jacobi_sequence
+from diskslepian.orthopoly import disk_poly, gegenbauer2d, jacobi_sequence
 from diskslepian.quadrature import disk_rule, radial_rule
 from diskslepian.slepian import SlepianParams
-from diskslepian.specfun import gamma_fn
+from diskslepian.verification import fourier_on_rule, quadrature_constant
 
 import oracles
 
@@ -28,11 +28,6 @@ def _report(num, label, worst, tol):
     status = "PASS" if worst <= tol else "FAIL"
     print(f"ACCEPTANCE {num:2d} [{label}]: {status} (worst {worst:.3e}, tol {tol:.1e})")
     assert worst <= tol
-
-
-def _fourier_vals(rule, vals, y):
-    phase = np.exp(1j * (rule.xs * y[0] + rule.ys * y[1]))
-    return complex(np.sum(rule.weights * phase * vals))
 
 
 def test_criterion_01_zero_bandwidth_spectrum():
@@ -176,7 +171,7 @@ def test_criterion_07_kernel_identity():
         ones = np.ones_like(rule.xs)
         for c in (1.0, 3.0):
             for (y, z) in pairs:
-                quad = _fourier_vals(rule, ones, (c * (y[0] - z[0]), c * (y[1] - z[1])))
+                quad = fourier_on_rule(rule, ones, (c * (y[0] - z[0]), c * (y[1] - z[1])))
                 worst = max(worst, abs(quad - ops.kernel_K(nu, c, y, z)))
     _report(7, "iterated-transform kernel", worst, 1e-8)
 
@@ -184,35 +179,40 @@ def test_criterion_07_kernel_identity():
 def test_criterion_08_disk_polynomial_transform():
     worst_ratio = 0.0
     worst_full = 0.0
-    worst_c00 = 0.0
-    for nu in GRID_NU:
-        rule = disk_rule(150, 256, nu)
-        c00 = tr.derived_constant("disk", nu, 0, 0)
-        worst_c00 = max(worst_c00, abs(c00 - gamma_fn(nu + 2)) / gamma_fn(nu + 2))
+    worst_const = 0.0
+    for nu in (-0.9,) + GRID_NU:
         for n in range(6):
             for m in range(6 - n):
-                vals = tr.disk_poly_on_rule(n, m, nu, rule)
+                cf = tr.disk_transform_closed(nu, n, m, 1.9, 0.4)
+                const = cf.value / tr._disk_shape(nu, n, m, 1.9, 0.4)
+                worst_const = max(worst_const, abs(quadrature_constant("disk", nu, n, m) - const)
+                                  / abs(const))
+    for nu in GRID_NU:
+        rule = disk_rule(150, 256, nu)
+        for n in range(6):
+            for m in range(6 - n):
+                vals = disk_poly(n, m, nu, rule.rs, rule.angles)
                 vth = 0.9
-                q1 = _fourier_vals(rule, vals, (0.8 * math.cos(vth), 0.8 * math.sin(vth)))
-                q2 = _fourier_vals(rule, vals, (1.6 * math.cos(vth), 1.6 * math.sin(vth)))
+                q1 = fourier_on_rule(rule, vals, (0.8 * math.cos(vth), 0.8 * math.sin(vth)))
+                q2 = fourier_on_rule(rule, vals, (1.6 * math.cos(vth), 1.6 * math.sin(vth)))
                 s1 = tr._disk_shape(nu, n, m, 0.8, vth)
                 s2 = tr._disk_shape(nu, n, m, 1.6, vth)
                 worst_ratio = max(worst_ratio, abs(q1 / q2 - s1 / s2) / abs(q1 / q2))
         for (n, m) in [(1, 0), (2, 1), (1, 2), (0, 3)]:
-            vals = tr.disk_poly_on_rule(n, m, nu, rule)
+            vals = disk_poly(n, m, nu, rule.rs, rule.angles)
             errs, scale = [], 0.0
             for rho in (0.6, 1.0, 1.45, 1.9, 2.4):
                 for vth in (0.3, 0.9, 1.6, 2.5, 4.0):
                     y = (rho * math.cos(vth), rho * math.sin(vth))
                     cf = tr.disk_transform_closed(nu, n, m, rho, vth)
                     assert cf.discrepancy_log is not None  # ratio is logged
-                    errs.append(abs(_fourier_vals(rule, vals, y) - cf.value))
+                    errs.append(abs(fourier_on_rule(rule, vals, y) - cf.value))
                     scale = max(scale, abs(cf.value))
             worst_full = max(worst_full, max(errs) / scale)
     print(f"  ratio worst {worst_ratio:.3e}, full-grid worst {worst_full:.3e}, "
-          f"c00 worst {worst_c00:.3e}")
+          f"constant worst {worst_const:.3e}")
     _report(8, "disk polynomial transform",
-            max(worst_ratio / 1e-6, worst_full / 1e-7, worst_c00 / 1e-9) * 1e-9, 1e-9)
+            max(worst_ratio / 1e-6, worst_full / 1e-7, worst_const / 1e-9) * 1e-9, 1e-9)
 
 
 def test_criterion_09_gegenbauer2d_transform():
@@ -221,15 +221,15 @@ def test_criterion_09_gegenbauer2d_transform():
         rule = disk_rule(150, 256, nu)
         for n in range(5):
             for k in range(n + 1):
-                vals = tr.gegenbauer2d_on_rule(n, k, nu + 0.5, rule)
+                vals = gegenbauer2d(n, k, nu + 0.5, rule.xs, rule.ys)
                 phi = 1.1
-                f1 = _fourier_vals(rule, vals, (0.9 * math.cos(phi), 0.9 * math.sin(phi)))
-                f2 = _fourier_vals(rule, vals, (1.7 * math.cos(phi), 1.7 * math.sin(phi)))
+                f1 = fourier_on_rule(rule, vals, (0.9 * math.cos(phi), 0.9 * math.sin(phi)))
+                f2 = fourier_on_rule(rule, vals, (1.7 * math.cos(phi), 1.7 * math.sin(phi)))
                 s1 = tr._gegen2d_shape(nu, n, k, 0.9, phi)
                 s2 = tr._gegen2d_shape(nu, n, k, 1.7, phi)
                 worst = max(worst, abs(f1 / f2 - s1 / s2) / abs(f1 / f2))
-                g1 = _fourier_vals(rule, vals, (1.3 * math.cos(0.5), 1.3 * math.sin(0.5)))
-                g2 = _fourier_vals(rule, vals, (1.3 * math.cos(2.2), 1.3 * math.sin(2.2)))
+                g1 = fourier_on_rule(rule, vals, (1.3 * math.cos(0.5), 1.3 * math.sin(0.5)))
+                g2 = fourier_on_rule(rule, vals, (1.3 * math.cos(2.2), 1.3 * math.sin(2.2)))
                 t1 = tr._gegen2d_shape(nu, n, k, 1.3, 0.5)
                 t2 = tr._gegen2d_shape(nu, n, k, 1.3, 2.2)
                 worst = max(worst, abs(g1 / g2 - t1 / t2) / abs(g1 / g2))

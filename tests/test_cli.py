@@ -26,7 +26,17 @@ class TestEigs:
         assert payload["config"]["truncation"] >= 36
         chis = [row["chi"] for row in payload["results"]]
         assert chis == pytest.approx([0.75, 8.75, 24.75], abs=1e-12)
-        assert all(row["mu"] == 0.0 for row in payload["results"])
+        # at c = 0 the transform is f -> <f, 1>_nu: lambda_{0,0} = 1, so
+        # mu_{0,0} = 1/(2(nu+1)), and every higher mode has mu = 0
+        mus = [row["mu"] for row in payload["results"]]
+        assert mus == [0.5, 0.0, 0.0]
+        assert payload["results"][0]["lambda_re"] == 1.0
+        # continuous with the solve at c = 1e-6
+        code, out = run_cli_out(capsys, "eigs", "--nu", "0", "--c", "1e-6",
+                                "--N", "0", "--modes", "3")
+        assert code == 0
+        near = [row["mu"] for row in json.loads(out)["results"]]
+        assert near == pytest.approx(mus, abs=1e-12)
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "eigs.csv"
@@ -167,6 +177,35 @@ class TestTransformCommand:
     def test_missing_index_usage_error(self):
         assert run_cli("transform", "--family", "disk", "--nu", "1",
                        "--n", "1", "--rho", "1.0") == 2
+
+    @pytest.mark.parametrize("family,change", [
+        ("disk", {"--nu": "-1.5"}),
+        ("disk", {"--nu": "nan"}),
+        ("gegenbauer", {"--nu": "-0.5"}),
+        ("disk", {"--n": "-1"}),
+        ("gegenbauer", {"--k": "-1"}),
+        ("gegenbauer", {"--n": "1", "--k": "2"}),
+        ("disk", {"--theta": "nan"}),
+        ("gegenbauer", {"--theta": "inf"}),
+        ("disk", {"--rho": "0"}),
+        ("disk", {"--rho": "nan"}),
+        ("disk", {"--rho": "inf"}),
+        ("gegenbauer", {"--rho": "1e300"}),
+        ("disk", {"--rho": "60.5"}),
+        ("disk", {"--nu": "30", "--n": "5", "--m": "5"}),
+        ("gegenbauer", {"--nu": "39.5", "--n": "1"}),
+    ])
+    def test_out_of_domain_is_usage_error(self, capsys, family, change):
+        # outside nu > -1, integer indices with 0 <= k <= n, finite angle,
+        # 0 < rho <= 60 and Bessel order <= 40 nothing is printed
+        opts = {"--nu": "1", "--n": "2", "--rho": "1.3", "--theta": "0.7",
+                "--m" if family == "disk" else "--k": "1", **change}
+        argv = ["transform", "--family", family]
+        for key, val in opts.items():
+            argv += [key, val]
+        code, out = run_cli_out(capsys, *argv)
+        assert code == 2
+        assert out == ""
 
 
 class TestExitCodes:

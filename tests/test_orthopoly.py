@@ -92,7 +92,26 @@ class TestDiskPoly:
         assert worst <= 1e-8
 
 
+    def test_array_input_matches_pointwise(self):
+        d = disk_rule(12, 16, 1.0)
+        for (n, m) in [(0, 0), (2, 1), (1, 4)]:
+            vals = op.disk_poly(n, m, 1.0, d.rs, d.angles)
+            loop = [op.disk_poly(n, m, 1.0, r, t) for r, t in zip(d.rs, d.angles)]
+            assert isinstance(loop[0], complex)
+            assert np.allclose(vals, loop, rtol=1e-14, atol=1e-15)
+
+
 class TestGegenbauer2D:
+    def test_array_input_matches_pointwise(self):
+        d = disk_rule(12, 16, 1.0)
+        for (n, k) in [(0, 0), (2, 1), (4, 3)]:
+            vals = op.gegenbauer2d(n, k, 1.5, d.xs, d.ys)
+            loop = [op.gegenbauer2d(n, k, 1.5, x, y) for x, y in zip(d.xs, d.ys)]
+            assert isinstance(loop[0], float)
+            assert np.allclose(vals, loop, rtol=1e-14, atol=1e-15)
+        with pytest.raises(ValueError):
+            op.gegenbauer2d(1, 0, 1.0, np.array([0.2, -1.0]), 0.0)
+
     def test_examples(self):
         assert op.gegenbauer2d(0, 0, 1.3, 0.2, 0.1) == 1.0
         # n=1, k=0, nu=1/2: C_1^1(x) = 2x

@@ -5,17 +5,22 @@ import numpy as np
 import pytest
 
 from diskslepian import transforms as tr
-from diskslepian.orthopoly import gegenbauer_c, jacobi_sequence
+from diskslepian.orthopoly import disk_poly, gegenbauer2d, gegenbauer_c, jacobi_sequence
 from diskslepian import operators as ops
 from diskslepian.quadrature import disk_rule, gauss_legendre, radial_rule
 from diskslepian.specfun import bessel_j, gamma_fn, j_script, j_small
+from diskslepian.verification import fourier_on_rule, quadrature_constant
 
 import oracles
 
+CONSTANT_NUS = (-0.9, 0.0, 1.0, 2.5)
 
-def _fourier_vals(rule, vals, y):
-    phase = np.exp(1j * (rule.xs * y[0] + rule.ys * y[1]))
-    return complex(np.sum(rule.weights * phase * vals))
+
+def _shipped_constant(closed, shape, nu, a, b):
+    """Constant of a shipped closed form, read off its value at one point
+    (not the oracle's reference point)."""
+    rho, angle = 1.9, 0.4
+    return closed(nu, a, b, rho, angle).value / shape(nu, a, b, rho, angle)
 
 
 class TestLemma:
@@ -56,9 +61,16 @@ class TestLemma:
 
 class TestDiskTransform:
     def test_constant_anchor(self):
-        for nu in (0.0, 1.0, 2.5):
-            c00 = tr.derived_constant("disk", nu, 0, 0)
+        # C_{0,0} = Gamma(nu+2) is pinned by the iterated kernel; the whole
+        # family C_{n,m} = i^(n+m) Gamma(nu+2) is checked against quadrature
+        for nu in CONSTANT_NUS:
+            c00 = quadrature_constant("disk", nu, 0, 0)
             assert abs(c00 - gamma_fn(nu + 2)) <= 1e-9 * gamma_fn(nu + 2)
+            for n in range(6):
+                for m in range(6 - n):
+                    c = _shipped_constant(tr.disk_transform_closed, tr._disk_shape,
+                                          nu, n, m)
+                    assert abs(c - quadrature_constant("disk", nu, n, m)) <= 1e-9 * abs(c)
 
     def test_periodicity(self):
         r1 = tr.disk_transform_closed(1.0, 2, 1, 1.3, 0.4).value
@@ -74,17 +86,17 @@ class TestDiskTransform:
             v2 = tr.disk_transform_closed(1.0, m, n, 1.3, 0.7).value
             assert v2 == pytest.approx((-1.0) ** (n - m) * v1.conjugate(), rel=1e-12)
 
-    def test_full_identity_with_derived_constant(self):
+    def test_full_identity_with_closed_form_constant(self):
         nu = 2.5
         rule = disk_rule(150, 256, nu)
         for (n, m) in [(2, 1), (1, 2)]:
-            vals = tr.disk_poly_on_rule(n, m, nu, rule)
+            vals = disk_poly(n, m, nu, rule.rs, rule.angles)
             errs, scale = [], 0.0
             for rho in (0.6, 1.45, 2.4):
                 for vth in (0.3, 1.6, 4.0):
                     y = (rho * math.cos(vth), rho * math.sin(vth))
                     cf = tr.disk_transform_closed(nu, n, m, rho, vth).value
-                    errs.append(abs(_fourier_vals(rule, vals, y) - cf))
+                    errs.append(abs(fourier_on_rule(rule, vals, y) - cf))
                     scale = max(scale, abs(cf))
             assert max(errs) <= 1e-7 * scale
 
@@ -106,11 +118,6 @@ class TestDiskTransform:
         with pytest.raises(ValueError):
             tr.disk_transform_closed(1.0, 1, 1, 1.0, 0.0, constant_source="guess")
 
-    def test_cache_write_once(self):
-        a = tr.derived_constant("disk", 1.0, 2, 1)
-        b = tr.derived_constant("disk", 1.0, 2, 1)
-        assert a is b or a == b
-
 
 class TestGegenbauer2DTransform:
     def test_constant_reduces_to_kernel_form(self):
@@ -124,9 +131,9 @@ class TestGegenbauer2DTransform:
     def test_two_point_ratio_rho(self, n, k):
         nu = 1.0
         rule = disk_rule(150, 256, nu)
-        vals = tr.gegenbauer2d_on_rule(n, k, nu + 0.5, rule)
+        vals = gegenbauer2d(n, k, nu + 0.5, rule.xs, rule.ys)
         phi = 1.1
-        f = lambda rho: _fourier_vals(rule, vals, (rho * math.cos(phi), rho * math.sin(phi)))
+        f = lambda rho: fourier_on_rule(rule, vals, (rho * math.cos(phi), rho * math.sin(phi)))
         sh = lambda rho: tr._gegen2d_shape(nu, n, k, rho, phi)
         lhs = f(0.9) / f(1.7)
         assert abs(lhs - sh(0.9) / sh(1.7)) <= 1e-6 * abs(lhs)
@@ -135,21 +142,30 @@ class TestGegenbauer2DTransform:
     def test_two_point_ratio_phi(self, n, k):
         nu = 2.5
         rule = disk_rule(150, 256, nu)
-        vals = tr.gegenbauer2d_on_rule(n, k, nu + 0.5, rule)
+        vals = gegenbauer2d(n, k, nu + 0.5, rule.xs, rule.ys)
         rho = 1.3
-        f = lambda ph: _fourier_vals(rule, vals, (rho * math.cos(ph), rho * math.sin(ph)))
+        f = lambda ph: fourier_on_rule(rule, vals, (rho * math.cos(ph), rho * math.sin(ph)))
         sh = lambda ph: tr._gegen2d_shape(nu, n, k, rho, ph)
         lhs = f(0.5) / f(2.2)
         assert abs(lhs - sh(0.5) / sh(2.2)) <= 1e-6 * abs(lhs)
 
     def test_derived_matches_analytic_constant(self):
         # Z = i^n 2^(nu+1) Gamma(nu+2) (2nu+1)_k / k!, established through the
-        # Poisson/finite-integral chain and pinned here as a frozen oracle
-        for (nu, n, k) in [(0.0, 2, 1), (1.0, 3, 2), (2.5, 1, 0)]:
-            z = tr.derived_constant("gegen2d", nu, n, k)
-            poch = math.exp(math.lgamma(2 * nu + 1 + k) - math.lgamma(2 * nu + 1))
-            ref = (1j ** (n % 4)) * 2 ** (nu + 1) * gamma_fn(nu + 2) * poch / math.factorial(k)
-            assert z == pytest.approx(ref, rel=1e-9)
+        # Poisson/finite-integral chain, against the quadrature oracle
+        for nu in CONSTANT_NUS:
+            for n in range(5):
+                for k in range(n + 1):
+                    z = _shipped_constant(tr.gegenbauer2d_transform_closed,
+                                          tr._gegen2d_shape, nu, n, k)
+                    assert abs(z - quadrature_constant("gegen2d", nu, n, k)) <= 1e-9 * abs(z)
+
+    def test_paper_constant_keeps_pochhammer_sign(self):
+        # the printed constant carries (2nu+1)_n, negative for n = 1 when
+        # nu < -1/2; at n=1, k=0 printed/shipped = i pi (2nu+1) / (2 (nu+1))
+        nu = -0.7
+        res = tr.gegenbauer2d_transform_closed(nu, 1, 0, 1.3, 0.8)
+        expect = 1j * math.pi * (2 * nu + 1) / (2 * (nu + 1))
+        assert 1 / res.discrepancy_log == pytest.approx(expect, rel=1e-12)
 
 
 class TestWatsonIntegrals:
