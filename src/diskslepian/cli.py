@@ -16,6 +16,7 @@ significant digit round-trippable CSV).
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -105,6 +106,8 @@ def _parse_points(specs):
             raise UsageError(f"bad point spec {spec!r}; use r or r:theta") from None
         if not 0 < pts[-1][0] <= 1:
             raise UsageError(f"point radius must be in (0, 1], got {pts[-1][0]}")
+        if pts[-1][1] is not None and not math.isfinite(pts[-1][1]):
+            raise UsageError(f"point angle must be finite, got {pts[-1][1]}")
     return pts
 
 

@@ -6,9 +6,12 @@ transform on the unit disk and its adjoint, plus the symmetrized Nystrom
 discretization that serves as the independent spectral oracle for the
 Hankel operator.
 
-Radial and disk functions are plain callables; they should accept ndarray
-arguments (every function this package produces does), but scalar-only
-callables are detected and looped over.
+Radial and disk functions are plain callables and must accept ndarray
+arguments (every function this package produces does).  The finite Hankel
+transform and the differential operator also take a scalar or an ndarray
+x; for an ndarray the Hankel transform builds one (x, t) kernel matrix by
+the power series of ``specfun``, so its domain is c * x <= 12
+(``_SERIES_CUTOFF``; larger arguments raise ValueError).
 
 Accumulation detail: the finite Hankel transform of a high-index
 eigenfunction is a near-perfect cancellation of O(1) quadrature terms down
@@ -22,7 +25,7 @@ import numpy as np
 from . import _ddarith as dd
 from .linalg import EigenPair, dense_sym_eigen
 from .quadrature import radial_rule
-from .specfun import j_script, j_small, j_script_over_power_array, _SERIES_CUTOFF
+from .specfun import j_small, j_script_over_power_array
 
 __all__ = ["apply_finite_hankel", "apply_L", "apply_L_classical",
            "nystrom_hankel_eigs", "kernel_K", "apply_weighted_fourier",
@@ -31,45 +34,23 @@ __all__ = ["apply_finite_hankel", "apply_L", "apply_L_classical",
 _LD = np.longdouble
 
 
-def _eval_on(f, *arrays):
-    """Evaluate callable f on ndarrays, falling back to a scalar loop."""
-    try:
-        vals = np.asarray(f(*arrays))
-        if vals.shape == arrays[0].shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([f(*args) for args in zip(*(a.ravel() for a in arrays))]
-                    ).reshape(arrays[0].shape)
-
-
-def _script_kernel_ld(order, z):
-    """script-J of ``order`` on an ndarray of arguments, longdouble output."""
-    z = np.asarray(z)
-    if z.size and float(np.max(z)) <= _SERIES_CUTOFF:
-        return j_script_over_power_array(order, z.astype(_LD), 0.0)
-    flat = np.array([j_script(order, float(t)) for t in z.ravel()], dtype=_LD)
-    return flat.reshape(z.shape)
-
-
 def apply_finite_hankel(nu, c, N, f, x, rule):
     """Finite Hankel transform H_{c,N,nu} f(x) by quadrature:
 
         integral_0^1 scriptJ_N(c x t) f(t) (1-t^2)^nu dt
 
-    ``rule`` must be a radial rule built for the weight (1-t^2)^nu.
+    ``rule`` must be a radial rule built for the weight (1-t^2)^nu.  x is a
+    scalar (float result) or an ndarray (array result of its shape), with
+    0 < x and c * x <= 12.  f is called once, on the longdouble nodes.
     """
-    if x <= 0:
+    x = np.asarray(x, dtype=_LD)
+    if np.any(x <= 0):
         raise ValueError("apply_finite_hankel requires x > 0")
-    t = rule.nodes
-    kern = _script_kernel_ld(N, _LD(c) * _LD(x) * t.astype(_LD))
-    try:
-        # extended-precision nodes so smooth integrands enter at better than
-        # double rounding; cheap integrands simply promote
-        fv = np.asarray(_eval_on(f, t.astype(_LD)), dtype=_LD)
-    except (TypeError, ValueError):
-        fv = np.asarray(_eval_on(f, t), dtype=_LD)
-    return float(np.sum(np.asarray(rule.weights, dtype=_LD) * kern * fv))
+    t = rule.nodes.astype(_LD)
+    kern = j_script_over_power_array(N, _LD(c) * x[..., None] * t, 0.0)
+    fv = np.asarray(f(t), dtype=_LD)
+    out = np.sum(np.asarray(rule.weights, dtype=_LD) * kern * fv, axis=-1)
+    return out.astype(float) if out.ndim else float(out)
 
 
 def _L_once(nu, c, N, f, x, h):
@@ -85,11 +66,13 @@ def apply_L(nu, c, N, f, x, h=1e-4):
 
         L = (1-x^2) d^2/dx^2 - 2(nu+1) x d/dx + (1/4 - N^2)/x^2 - c^2 x^2
 
-    5-point central stencils of width h, Richardson-extrapolated once.
-    Note the sign convention: on the zero-bandwidth eigenbasis L T = -chi T
-    with chi > 0; the spectral solver works with Lambda = -L throughout.
+    5-point central stencils of width h, Richardson-extrapolated once.  x
+    and h are scalars or broadcastable ndarrays; f is called on arrays of
+    x's shape.  Note the sign convention: on the zero-bandwidth eigenbasis
+    L T = -chi T with chi > 0; the spectral solver works with Lambda = -L
+    throughout.
     """
-    if not (2 * h < x < 1 - 2 * h):
+    if not np.all((2 * h < x) & (x < 1 - 2 * h)):
         raise ValueError(f"stencil of width {h} out of domain at x={x}")
     coarse = _L_once(nu, c, N, f, x, h)
     fine = _L_once(nu, c, N, f, x, h / 2)
@@ -199,15 +182,11 @@ def apply_weighted_fourier(nu, c, f, y, rule):
     """
     y = np.asarray(y, dtype=float)
     phase = np.exp(1j * c * (rule.xs * y[0] + rule.ys * y[1]))
-    vals = _eval_on(f, rule.xs, rule.ys)
+    vals = np.asarray(f(rule.xs, rule.ys))
     acc = np.sum((rule.weights * phase * vals).astype(np.clongdouble))
     return complex(acc)
 
 
 def apply_adjoint_fourier(nu, c, f, y, rule):
-    """Adjoint transform: conjugated kernel e^{-i c <x, y>}."""
-    y = np.asarray(y, dtype=float)
-    phase = np.exp(-1j * c * (rule.xs * y[0] + rule.ys * y[1]))
-    vals = _eval_on(f, rule.xs, rule.ys)
-    acc = np.sum((rule.weights * phase * vals).astype(np.clongdouble))
-    return complex(acc)
+    """Adjoint transform: conjugated kernel e^{-i c <x, y>}, i.e. F_{nu,-c}."""
+    return apply_weighted_fourier(nu, -c, f, y, rule)

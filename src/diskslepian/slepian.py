@@ -64,7 +64,8 @@ class SlepianParams:
 
     nu > -1 is the disk weight exponent, c >= 0 the bandwidth, N >= 0 the
     angular order.  ``truncation`` pins the expansion size (None = grow
-    automatically); ``tolerance`` is the relative coefficient-tail target.
+    automatically); ``tolerance`` > 0 is the relative coefficient-tail
+    target.  nu, c and tolerance must be finite.
     """
 
     nu: float
@@ -74,10 +75,12 @@ class SlepianParams:
     tolerance: float = 1e-12
 
     def __post_init__(self):
-        if self.nu <= -1:
-            raise ValueError("nu must exceed -1")
-        if self.c < 0:
-            raise ValueError("c must be >= 0")
+        if not (math.isfinite(self.nu) and self.nu > -1):
+            raise ValueError("nu must be finite and exceed -1")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ValueError("c must be finite and >= 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and > 0")
         if self.N < 0:
             raise ValueError("N must be >= 0")
         if self.truncation is not None and self.truncation < 2:

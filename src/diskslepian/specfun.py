@@ -1,4 +1,4 @@
-"""Scalar special functions: Gamma and Bessel J of real order.
+"""Special functions: Gamma and Bessel J of real order.
 
 Besides the plain Bessel function two rescaled variants are used everywhere
 in this package:
@@ -6,15 +6,19 @@ in this package:
     j_small(nu, x)  = Gamma(nu+1) * (2/x)**nu * J_nu(x)     ("small-j", = 1 at x=0)
     j_script(nu, x) = sqrt(x) * J_nu(x)                     ("script-J")
 
-Everything is evaluated in 64-bit output precision.  Internally the Bessel
-routines accumulate in ``numpy.longdouble`` (80-bit on x86) so that the
-alternating power series keeps ~15 significant digits up to the regime
-switch.  Two regimes:
+Gamma is the standard library's ``math.gamma``.  Every Bessel value comes
+from one of two longdouble (80-bit on x86) sums, returned in 64-bit
+precision:
 
-* ascending power series for x <= _SERIES_CUTOFF,
-* backward (Miller) recurrence for larger x, normalized through the
+* one ascending series, ``_j_small_series_array``, for x <= _SERIES_CUTOFF:
+  sum_k (-x^2/4)^k / (k! (nu+1)_k) over a scalar or an ndarray, stopped
+  once the a-priori term bound (max x^2/4)^k / (k! |(nu+1)_k|) <= 1e-21;
+  the power and Gamma prefactor is assembled in log space
+  (``j_script_over_power_array``);
+* one backward (Miller) recurrence for larger x, normalized through the
   Neumann-type sum  (x/2)**mu = sum_k (mu+2k) Gamma(mu+k)/k! J_{mu+2k}(x)
-  valid for any fractional base order mu in [0, 1).
+  valid for any fractional base order mu in [0, 1); orders in (-1, 0) step
+  down from nu+1 and nu+2 (``j_small``).
 
 The series cutoff is a fixed constant.  Pushing the series out to x ~ 2*order
 for large orders loses 10+ digits to cancellation (the terms peak near
@@ -32,78 +36,20 @@ __all__ = ["gamma_fn", "bessel_j", "j_small", "j_script"]
 # Regime switch for bessel_j: ascending series below, Miller recurrence above.
 _SERIES_CUTOFF = 12.0
 
+# Absolute bound on the last series term (longdouble eps is ~1.1e-19).
+_SERIES_TERM_BOUND = 1e-21
+
 _LD = np.longdouble
 
-# Lanczos coefficients, g = 7, n = 9 (Godfrey's tabulation).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-class GammaPoleError(ValueError):
-    """Gamma evaluated at a non-positive integer."""
-
-
-def gamma_fn(x):
-    """Gamma function for real x, x not a non-positive integer.
-
-    Lanczos approximation with the reflection formula for x < 0.5.
-    Relative error <= 1e-13 on [0.5, 50].  Raises OverflowError once the
-    result exceeds the double range (x > ~171.6).
-    """
-    x = float(x)
-    if x <= 0 and x == math.floor(x):
-        raise GammaPoleError(f"gamma_fn pole at non-positive integer x={x}")
-    if x < 0.5:
-        # Gamma(x) = pi / (sin(pi x) * Gamma(1-x))
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    log_val = 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
-    if log_val > 709.0:
-        raise OverflowError(f"gamma_fn({x}) exceeds double range")
-    return math.exp(log_val)
+# Gamma for real x; ValueError at the poles x = 0, -1, -2, ..., OverflowError
+# once the result exceeds the double range (x > ~171.6).
+gamma_fn = math.gamma
 
 
 def _lgamma_ld(x):
     """log Gamma in longdouble via math.lgamma (double) -- adequate: it only
     rescales Miller sums whose final accuracy is set by the double output."""
     return _LD(math.lgamma(float(x)))
-
-
-def _bessel_series_ld(order, x):
-    """Ascending series for J_order(x) in longdouble.  order > -1, x >= 0."""
-    order = _LD(order)
-    x = _LD(x)
-    if x == 0:
-        return _LD(1.0) if order == 0 else _LD(0.0)
-    q = x * x / 4
-    # term_k = (-1)^k (x/2)^(order+2k) / (k! Gamma(order+k+1)), built recursively
-    log_t0 = order * np.log(x / 2) - _lgamma_ld(order + 1)
-    term = np.exp(log_t0)
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= -q / (k * (order + k))
-        total += term
-        if abs(term) <= np.finfo(_LD).eps * abs(total) + _LD(1e-300):
-            break
-        if k > 600:  # unreachable for x <= cutoff; guards misuse
-            break
-    return total
 
 
 def _bessel_miller_ld(order, x):
@@ -161,26 +107,9 @@ def bessel_j(order, x):
     if x == 0.0:
         return 1.0 if order == 0.0 else 0.0
     if x <= _SERIES_CUTOFF:
-        return float(_bessel_series_ld(order, x))
+        log_pref = _LD(order) * np.log(_LD(x) / 2) - _lgamma_ld(order + 1)
+        return float(np.exp(log_pref) * _j_small_series_array(order, x))
     return float(_bessel_miller_ld(order, x))
-
-
-def _j_small_series_ld(nu, x):
-    """Series for j_small: sum_k (-1)^k (x^2/4)^k / (k! (nu+1)_k), longdouble."""
-    nu = _LD(nu)
-    q = _LD(x) * _LD(x) / 4
-    term = _LD(1.0)
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= -q / (k * (nu + k))
-        total += term
-        if abs(term) <= np.finfo(_LD).eps * abs(total) + _LD(1e-300):
-            break
-        if k > 600:
-            break
-    return total
 
 
 def j_small(nu, x):
@@ -195,7 +124,7 @@ def j_small(nu, x):
     if x < 0:
         raise ValueError(f"j_small requires x >= 0, got {x}")
     if x <= _SERIES_CUTOFF:
-        return float(_j_small_series_ld(nu, x))
+        return float(_j_small_series_array(nu, x))
     # large argument: rescale bessel_j through logs to dodge overflow in the
     # Gamma(nu+1) (2/x)^nu prefactor at large nu
     if nu >= 0:
@@ -209,7 +138,7 @@ def j_small(nu, x):
 
 
 def j_script(nu, x):
-    """Normalized Bessel script-J: sqrt(x) * J_nu(x).
+    """Normalized Bessel script-J: sqrt(x) * J_nu(x), nu >= -1/2.
 
     At x=0 the series limit is 0 for nu > -1/2 and sqrt(2/pi) at nu = -1/2.
     """
@@ -222,28 +151,31 @@ def j_script(nu, x):
     if x == 0.0:
         return math.sqrt(2.0 / math.pi) if nu == -0.5 else 0.0
     if nu < 0:
-        # only the (-1/2, 0) sliver reaches here; series is valid for nu > -1
-        val = float(_j_small_series_ld(nu, x))
-        return math.sqrt(x) * val * (x / 2.0) ** nu / gamma_fn(nu + 1.0)
+        # the (-1/2, 0) sliver, which bessel_j does not take
+        return math.sqrt(x) * (x / 2.0) ** nu / gamma_fn(nu + 1.0) * j_small(nu, x)
     return math.sqrt(x) * bessel_j(nu, x)
 
 
 def _j_small_series_array(nu, z):
-    """Vectorized j_small series over an ndarray of arguments (longdouble).
+    """j_small(nu, z) by its ascending series over a scalar or an ndarray z
+    (longdouble out), nu > -1.
 
-    Valid for |z| <= ~12; used by quadrature-heavy operator code where every
-    kernel argument is small.  Returns a longdouble array.
+    Unchecked: accurate only for |z| <= _SERIES_CUTOFF, which every caller
+    enforces.  The term count is fixed in advance by the first k with
+    (max z^2/4)^k / (k! |(nu+1)_k|) <= _SERIES_TERM_BOUND, so an array of
+    arguments costs one pass and no reduction per term.
     """
-    nu = _LD(nu)
-    q = np.asarray(z, dtype=_LD)
-    q = q * q / 4
-    term = np.ones_like(q)
-    total = term.copy()
-    eps = np.finfo(_LD).eps
+    mq = np.asarray(z, dtype=_LD)
+    mq = mq * mq * _LD(-0.25)
+    qmax = -float(mq if mq.ndim == 0 else mq.min(initial=0.0))
+    nu_ld = _LD(nu)
+    term = total = _LD(1.0)
+    bound = 1.0
     for k in range(1, 400):
-        term = term * (-q / (k * (nu + k)))
-        total += term
-        if np.max(np.abs(term)) <= eps * max(np.max(np.abs(total)), _LD(1e-30)):
+        term = term * mq / (k * (nu_ld + k))
+        total = total + term
+        bound *= qmax / (k * abs(nu + k))
+        if bound <= _SERIES_TERM_BOUND:
             break
     return total
 
@@ -264,11 +196,9 @@ def j_script_over_power_array(order, z, power):
     small = _j_small_series_array(order, z)
     expo = _LD(order) + _LD(0.5) - _LD(power)
     log_pref = -_LD(order) * np.log(_LD(2.0)) - _lgamma_ld(order + 1)
-    out = np.zeros_like(z)
-    pos = z > 0
-    out[pos] = small[pos] * np.exp(expo * np.log(z[pos]) + log_pref)
-    if np.any(~pos):
-        if expo == 0:
-            out[~pos] = small[~pos] * np.exp(log_pref)
-        # expo > 0: limit 0, already set
-    return out
+    if expo == 0:
+        scale = np.exp(log_pref)
+    else:
+        with np.errstate(divide="ignore"):  # z = 0: exp(-inf) = 0, the limit
+            scale = np.exp(expo * np.log(z) + log_pref)
+    return small * scale

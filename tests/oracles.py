@@ -48,6 +48,29 @@ def hankel_jacobi_lhs_mp(alpha, beta, n, x, dps=30):
         return mp.quad(integrand, [0, mp.pi / 2])
 
 
+def hankel_jacobi_lhs_series_mp(alpha, beta, n, x, dps=60):
+    """The finite Hankel transform of ``hankel_jacobi_lhs_mp`` as finite
+    sums: the script-J power series sqrt(x t) sum_k (-1)^k (x t/2)^(alpha+2k)
+    / (k! Gamma(alpha+k+1)) times the Jacobi 2F1 sum in t^2, each monomial
+    t^(2m+1) (1-t^2)^beta integrated exactly as B(m+1, beta+1)/2 under
+    u = t^2.  Orthogonality zeroes the terms k < n; the k sum runs past n
+    and its peak near x/2 until a term drops below 10^-dps (absolute)."""
+    with mp.workdps(dps):
+        a, b, xx = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x)
+        d = [mp.binomial(a + n, n) * mp.rf(-n, j) * mp.rf(n + a + b + 1, j)
+             / (mp.rf(a + 1, j) * mp.factorial(j)) for j in range(n + 1)]
+        total = mp.mpf(0)
+        k = 0
+        while True:
+            ck = (-1) ** k * (xx / 2) ** (a + 2 * k) / (mp.factorial(k) * mp.gamma(a + k + 1))
+            term = ck * sum(dj * mp.beta(a + k + j + 1, b + 1) for j, dj in enumerate(d)) / 2
+            total += term
+            if k > max(n, xx) and abs(term) < mp.mpf(10) ** -dps:
+                break
+            k += 1
+        return mp.sqrt(xx) * total
+
+
 def adaptive_simpson(f, a, b, tol=1e-13, max_depth=48):
     """Plain adaptive Simpson quadrature."""
 

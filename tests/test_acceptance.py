@@ -78,9 +78,8 @@ def test_criterion_03_integral_eigenrelation():
                         continue
                     checked += 1
                     target = math.sqrt(c) * m.mu * sl.eval_phi(m, p, xs)
-                    hv = np.array([ops.apply_finite_hankel(
-                        nu, c, N, lambda t: sl.eval_phi(m, p, t), x, rule)
-                        for x in xs])
+                    hv = ops.apply_finite_hankel(
+                        nu, c, N, lambda t: sl.eval_phi(m, p, t), xs, rule)
                     worst = max(worst, np.max(np.abs(hv - target))
                                 / np.max(np.abs(target)))
     print(f"  {checked} modes checked, {skipped} below the evaluation floor")
@@ -126,35 +125,32 @@ def test_criterion_05_commutation():
             for N in GRID_N:
                 rule = radial_rule(240, nu)
                 for f in fams(N):
-                    L_in = lambda t: ops.apply_L(nu, c, N, f, t,
-                                                 h=min(1e-4, t / 16, (1 - t) / 16))
-                    h_lf = np.array([ops.apply_finite_hankel(nu, c, N, L_in, x, rule)
-                                     for x in xs])
-                    l_hf = np.array([ops.apply_L(
-                        nu, c, N,
-                        lambda t: ops.apply_finite_hankel(nu, c, N, f, t, rule), x)
-                        for x in xs])
+                    L_in = lambda t: ops.apply_L(
+                        nu, c, N, f, t, h=np.minimum(1e-4, np.minimum(t / 16, (1 - t) / 16)))
+                    h_lf = ops.apply_finite_hankel(nu, c, N, L_in, xs, rule)
+                    l_hf = ops.apply_L(
+                        nu, c, N, lambda t: ops.apply_finite_hankel(nu, c, N, f, t, rule), xs)
                     worst = max(worst, np.max(np.abs(h_lf - l_hf)) / np.max(np.abs(h_lf)))
     _report(5, "commutator residual", worst, 1e-5)
 
 
 def test_criterion_06_lemma_identity_full_grid():
     worst = 0.0
+    xs = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
     for a in (0.0, 0.5, 1.0, 2.5):
         for b in (0.0, 0.5, 1.0, 2.5):
             rule = radial_rule(240, b)
             for n in range(7):
-                for x in (0.5, 1.0, 2.0, 5.0, 10.0):
-                    rhs = tr.lemma1_rhs(a, b, n, x)
-                    if abs(rhs) >= 1e-7:
-                        f = lambda t: (t ** (a + 0.5)
-                                       * jacobi_sequence(n, a, b, 1 - 2 * t * t)[n])
-                        lhs = ops.apply_finite_hankel(b, 1.0, a, f, x, rule)
-                    else:
-                        # below the double-precision cancellation floor:
-                        # arbitrary-precision quadrature oracle
-                        lhs = float(oracles.hankel_jacobi_lhs_mp(a, b, n, x))
-                    worst = max(worst, abs(lhs - rhs) / abs(rhs))
+                rhs = np.array([tr.lemma1_rhs(a, b, n, x) for x in xs])
+                lhs = np.empty_like(rhs)
+                quad = np.abs(rhs) >= 1e-7
+                f = lambda t: t ** (a + 0.5) * jacobi_sequence(n, a, b, 1 - 2 * t * t)[n]
+                lhs[quad] = ops.apply_finite_hankel(b, 1.0, a, f, xs[quad], rule)
+                # below the double-precision cancellation floor:
+                # arbitrary-precision series oracle
+                lhs[~quad] = [float(oracles.hankel_jacobi_lhs_series_mp(a, b, n, x))
+                              for x in xs[~quad]]
+                worst = max(worst, np.max(np.abs(lhs - rhs) / np.abs(rhs)))
     _report(6, "Hankel-Jacobi closed form over full grid", worst, 1e-9)
 
 

@@ -139,6 +139,20 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert "checks passed" in out
 
+    def test_all_quick_suites_pass(self, capsys):
+        code, out = run_cli_out(capsys, "verify", "--suite", "all", "--quick",
+                                "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert all(r["passed"] for r in results)
+        counts = {}
+        for r in results:
+            head = r["name"].split()[0]
+            counts[head] = counts.get(head, 0) + 1
+        # the orthogonality suite names its checks "radial gram" and "disk gram"
+        assert counts == {"lemma1": 288, "thm41": 14, "thm42": 12, "kernel": 4,
+                          "commute": 9, "nystrom": 2, "radial": 1, "disk": 1}
+
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run_cli("verify", "--suite", "nonsense") == 2
 
@@ -223,6 +237,23 @@ class TestExitCodes:
         code, out = run_cli_out(capsys, "eigs", "--nu", "0", "--c", "1",
                                 "--N", "0", "--modes", "2")
         assert code == 3
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("eigs", "--nu", "0", "--c", "nan", "--N", "0", "--modes", "2"),
+        ("eigs", "--nu", "nan", "--c", "1", "--N", "0", "--modes", "2"),
+        ("eigs", "--nu", "inf", "--c", "1", "--N", "0", "--modes", "2"),
+        ("eigs", "--nu", "0", "--c", "inf", "--N", "0", "--modes", "2"),
+        ("tabulate", "--nu", "0", "--c", "nan", "--N", "0", "--grid-r", "3"),
+        ("eigs", "--nu", "0", "--c", "1", "--N", "0", "--modes", "2", "--tol", "nan"),
+        ("eigs", "--nu", "0", "--c", "1", "--N", "0", "--modes", "2", "--tol", "inf"),
+        ("eigs", "--nu", "0", "--c", "1", "--N", "0", "--modes", "2", "--tol", "0"),
+        ("eval", "--nu", "0", "--c", "1", "--N", "0", "--at", "0.5:nan"),
+        ("eval", "--nu", "0", "--c", "1", "--N", "0", "--at", "0.5:inf"),
+    ])
+    def test_non_finite_or_nonpositive_input_is_usage(self, capsys, argv):
+        code, out = run_cli_out(capsys, *argv)
+        assert code == 2
         assert out == ""
 
     def test_invalid_domain_is_usage(self):

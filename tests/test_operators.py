@@ -49,6 +49,28 @@ class TestFiniteHankel:
         with pytest.raises(ValueError):
             ops.apply_finite_hankel(0.0, 1.0, 0, lambda t: t, 0.0, rule)
 
+    def test_array_x_matches_scalar_calls_bitwise(self):
+        rule = radial_rule(120, 1.0)
+        f = lambda t: t ** 1.5 * (1 - t * t) * (1 + 0.5 * t)
+        for (c, N) in [(0.5, 0), (5.0, 1), (11.0, 3)]:
+            xs = np.linspace(0.05, 1.0, 13)
+            arr = ops.apply_finite_hankel(1.0, c, N, f, xs, rule)
+            assert arr.dtype == float and arr.shape == xs.shape
+            assert np.array_equal(
+                arr, [ops.apply_finite_hankel(1.0, c, N, f, x, rule) for x in xs])
+            grid = xs[:12].reshape(3, 4)
+            assert np.array_equal(ops.apply_finite_hankel(1.0, c, N, f, grid, rule),
+                                  arr[:12].reshape(3, 4))
+
+    def test_refuses_beyond_series_cutoff(self):
+        # the kernel argument c x t reaches c x at the outermost node
+        rule = radial_rule(40, 0.0)
+        f = lambda t: t
+        assert np.isfinite(ops.apply_finite_hankel(0.0, 12.0, 0, f, 1.0, rule))
+        for c, x in [(12.5, 1.0), (20.0, 0.9), (40.0, np.array([0.1, 0.8]))]:
+            with pytest.raises(ValueError):
+                ops.apply_finite_hankel(0.0, c, 0, f, x, rule)
+
     def test_self_adjointness_bilinear(self):
         nu, c, N = 1.0, 2.0, 1
         rule = radial_rule(150, nu)
@@ -57,8 +79,8 @@ class TestFiniteHankel:
         pg = np.polynomial.Polynomial(rng.normal(size=5))
         f = lambda t: np.sqrt(t) * pf(np.asarray(t, dtype=float))
         g = lambda t: np.sqrt(t) * pg(np.asarray(t, dtype=float))
-        hf = np.array([ops.apply_finite_hankel(nu, c, N, f, x, rule) for x in rule.nodes])
-        hg = np.array([ops.apply_finite_hankel(nu, c, N, g, x, rule) for x in rule.nodes])
+        hf = ops.apply_finite_hankel(nu, c, N, f, rule.nodes, rule)
+        hg = ops.apply_finite_hankel(nu, c, N, g, rule.nodes, rule)
         lhs = float(np.sum(rule.weights * hf * g(rule.nodes)))
         rhs = float(np.sum(rule.weights * f(rule.nodes) * hg))
         assert abs(lhs - rhs) <= 1e-10
@@ -91,9 +113,22 @@ class TestDifferentialOperator:
                     b = ops.apply_L_classical(c, N, f, x)
                     assert a == pytest.approx(b, abs=1e-8 * max(1, abs(b)))
 
+    def test_array_x_matches_scalar_calls_bitwise(self):
+        nu, c, N = 1.0, 2.0, 1
+        rule = radial_rule(80, nu)
+        # sqrt, + and * round alike on scalars and arrays (pow need not)
+        f = lambda t: np.sqrt(t) * t * (1 - t * t)
+        hf = lambda t: ops.apply_finite_hankel(nu, c, N, f, t, rule)
+        xs = np.linspace(0.1, 0.9, 9)
+        for g in (f, hf):
+            arr = ops.apply_L(nu, c, N, g, xs)
+            assert np.array_equal(arr, [ops.apply_L(nu, c, N, g, x) for x in xs])
+
     def test_stencil_domain_error(self):
         with pytest.raises(ValueError):
             ops.apply_L(0.0, 1.0, 0, lambda t: t, 1e-5)
+        with pytest.raises(ValueError):
+            ops.apply_L(0.0, 1.0, 0, lambda t: t, np.array([0.5, 0.99999]))
         with pytest.raises(ValueError):
             ops.apply_L_classical(1.0, 0, lambda t: t, 0.99999)
 
@@ -105,11 +140,9 @@ class TestCommutation:
         f = lambda t: t ** (N + 0.5) * (1 - t * t) * (1 + 0.3 * t * t)
         xs = np.linspace(0.1, 0.9, 7)
         L_near = lambda t: ops.apply_L(nu, c, N, f, t,
-                                       h=min(1e-4, t / 16, (1 - t) / 16))
-        h_lf = np.array([ops.apply_finite_hankel(nu, c, N, L_near, x, rule) for x in xs])
-        l_hf = np.array([ops.apply_L(
-            nu, c, N, lambda t: ops.apply_finite_hankel(nu, c, N, f, t, rule), x)
-            for x in xs])
+                                       h=np.minimum(1e-4, np.minimum(t / 16, (1 - t) / 16)))
+        h_lf = ops.apply_finite_hankel(nu, c, N, L_near, xs, rule)
+        l_hf = ops.apply_L(nu, c, N, lambda t: ops.apply_finite_hankel(nu, c, N, f, t, rule), xs)
         assert np.max(np.abs(h_lf - l_hf)) <= 1e-5 * np.max(np.abs(h_lf))
 
 

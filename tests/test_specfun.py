@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diskslepian import specfun as sf
-from diskslepian.specfun import _SERIES_CUTOFF, _bessel_miller_ld, _bessel_series_ld
+from diskslepian.specfun import _SERIES_CUTOFF, _bessel_miller_ld, _j_small_series_array
 
 import oracles
 
@@ -73,7 +73,8 @@ class TestBesselJ:
         # both evaluation branches must agree in a band around the cutoff
         for order in (0.0, 0.5, 3.7, 10.0, 25.0, 40.0):
             for x in np.linspace(_SERIES_CUTOFF - 0.5, _SERIES_CUTOFF + 0.5, 11):
-                a = float(_bessel_series_ld(order, float(x)))
+                a = float((x / 2.0) ** order / math.gamma(order + 1.0)
+                          * _j_small_series_array(order, x))
                 b = float(_bessel_miller_ld(order, float(x)))
                 assert abs(a - b) <= 1e-13
 
@@ -120,6 +121,14 @@ class TestNormalizedVariants:
             assert sf.j_script(0.5, x) == pytest.approx(
                 math.sqrt(2 / math.pi) * math.sin(x), abs=1e-13)
         assert sf.j_script(0.0, 1.0) == pytest.approx(J_0_1, abs=1e-13)
+
+    def test_j_script_negative_order_beyond_cutoff(self):
+        # nu in (-1/2, 0) above the cutoff takes the Miller branch, not the
+        # ascending series, which loses every digit by x = 55
+        for nu in (-0.4, -0.25, -0.1):
+            for x in (20.0, 30.0, 40.0, 55.0):
+                ref = float(oracles.mp.sqrt(x) * oracles.bessel_j_mp(nu, x))
+                assert abs(sf.j_script(nu, x) - ref) <= 1e-12
 
     def test_j_script_rejects_divergent_order(self):
         with pytest.raises(ValueError):

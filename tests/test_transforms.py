@@ -58,6 +58,17 @@ class TestLemma:
         lhs = float(oracles.hankel_jacobi_lhs_mp(a, b, n, x))
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
+    @pytest.mark.parametrize("a,b,n,x", [
+        (0.0, 0.0, 3, 0.5), (0.0, 0.5, 6, 2.0), (0.0, 2.5, 6, 1.0), (0.5, 0.5, 6, 0.5),
+        (0.5, 2.5, 5, 1.0), (1.0, 0.5, 4, 0.5), (1.0, 1.0, 6, 1.0), (2.5, 0.0, 4, 0.5),
+        (2.5, 0.5, 5, 1.0), (2.5, 1.0, 6, 2.0), (1.0, 0.0, 2, 5.0)])
+    def test_series_oracle_matches_quadrature_oracle(self, a, b, n, x):
+        # the finite-sum oracle of criterion 6 against the mpmath quadrature
+        # of the same integrand; all but the last corner are sub-1e-7 ones
+        series = oracles.hankel_jacobi_lhs_series_mp(a, b, n, x)
+        quad = oracles.hankel_jacobi_lhs_mp(a, b, n, x)
+        assert abs(series - quad) <= 1e-14 * abs(quad)
+
 
 class TestDiskTransform:
     def test_constant_anchor(self):
