@@ -16,10 +16,9 @@ import math
 
 from diskslepian import (disk_poly, disk_transform_closed, gegenbauer2d,
                          gegenbauer2d_transform_closed, lemma1_rhs)
-from diskslepian.operators import apply_finite_hankel
+from diskslepian.operators import apply_finite_hankel, apply_weighted_fourier
 from diskslepian.orthopoly import jacobi_sequence
 from diskslepian.quadrature import disk_rule, radial_rule
-from diskslepian.verification import fourier_on_rule
 
 # --- finite Hankel transform of a Jacobi basis element -----------------
 alpha, beta, n, x = 1.0, 0.5, 2, 3.7
@@ -36,7 +35,7 @@ nu, nn, mm = 1.0, 2, 1
 drule = disk_rule(150, 256, nu)
 rho, vth = 1.4, 0.8
 y = (rho * math.cos(vth), rho * math.sin(vth))
-quad = fourier_on_rule(drule, disk_poly(nn, mm, nu, drule.rs, drule.angles), y)
+quad = apply_weighted_fourier(nu, 1.0, disk_poly(nn, mm, nu, drule.rs, drule.angles), y, drule)
 closed = disk_transform_closed(nu, nn, mm, rho, vth)
 print(f"disk polynomial D_{{{nn},{mm}}} transform at rho={rho}, theta={vth}:")
 print(f"  quadrature  {quad:+.12e}")
@@ -45,7 +44,7 @@ print(f"  shipped/printed constant ratio: {closed.discrepancy_log:.6g}\n")
 
 # --- two-variable Gegenbauer image --------------------------------------
 nn, kk = 3, 1
-quad = fourier_on_rule(drule, gegenbauer2d(nn, kk, nu + 0.5, drule.xs, drule.ys), y)
+quad = apply_weighted_fourier(nu, 1.0, gegenbauer2d(nn, kk, nu + 0.5, drule.xs, drule.ys), y, drule)
 closed = gegenbauer2d_transform_closed(nu, nn, kk, rho, vth)
 print(f"two-variable Gegenbauer P_{{{nn},{kk}}} transform at the same point:")
 print(f"  quadrature  {quad:+.12e}")

@@ -111,13 +111,18 @@ def _parse_points(specs):
     return pts
 
 
+def _solve_mode(params, index):
+    if index < 0:
+        raise UsageError("--mode must be >= 0")
+    return solve_modes(params, index + 1)[index]
+
+
 def cmd_eval(args):
     params = _params_from(args)
     if not args.at:
         raise UsageError("eval needs at least one --at point")
     pts = _parse_points(args.at)
-    modes = solve_modes(params, args.mode + 1)
-    mode = modes[args.mode]
+    mode = _solve_mode(params, args.mode)
     results = []
     for (r, theta) in pts:
         if theta is None:
@@ -135,8 +140,7 @@ def cmd_tabulate(args):
     params = _params_from(args)
     if args.grid_r < 1:
         raise UsageError("--grid-r must be >= 1")
-    modes = solve_modes(params, args.mode + 1)
-    mode = modes[args.mode]
+    mode = _solve_mode(params, args.mode)
     rs = np.arange(1, args.grid_r + 1) / args.grid_r
     if args.grid_theta:
         thetas = 2 * np.pi * np.arange(args.grid_theta) / args.grid_theta

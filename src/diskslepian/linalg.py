@@ -24,7 +24,8 @@ __all__ = ["SymTridiagonal", "EigenPair", "symtri_eigen", "dense_sym_eigen",
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver failed to converge, or its result broke a physical bound."""
+    """Eigensolver failed to converge, its input overflowed, or its result
+    broke a physical bound."""
 
 
 class AsymmetryError(ValueError):

@@ -32,6 +32,7 @@ __all__ = ["apply_finite_hankel", "apply_L", "apply_L_classical",
            "apply_adjoint_fourier"]
 
 _LD = np.longdouble
+_NYSTROM_MAX_C = 40.0
 
 
 def apply_finite_hankel(nu, c, N, f, x, rule):
@@ -118,7 +119,15 @@ def nystrom_hankel_eigs(nu, c, N, rule_size, count):
     double-double arithmetic (~1e-32 relative entries) and the LAPACK
     eigenpairs are polished by deflated power iteration with double-double
     matvecs; the geometric decay makes each pair converge in a few steps.
+
+    Domain: 0 <= c <= 40; larger (or NaN) c raises ValueError.  The kernel
+    argument c x_i x_j reaches c, and the double-double series of
+    ``_ddarith.script_j_int_order`` loses digits to cancellation past 40:
+    against 50-digit mpmath (N in {0, 3}) its absolute error is below
+    1.2e-16 on [36, 40], 1.6e-12 on [45, 50] and 2.9e-8 on [54, 60].
     """
+    if not 0 <= c <= _NYSTROM_MAX_C:
+        raise ValueError(f"nystrom_hankel_eigs needs 0 <= c <= {_NYSTROM_MAX_C}, got c={c}")
     if rule_size < 4 * count:
         raise ValueError("rule_size must be at least 4*count")
     rule = radial_rule(rule_size, nu)
@@ -179,10 +188,13 @@ def apply_weighted_fourier(nu, c, f, y, rule):
         F_{nu,c} f(y) = integral_D e^{i c <x, y>} f(x) w_nu(x) dx
 
     evaluated with a polar tensor rule (``rule`` from disk_rule(.., nu)).
+    f is either a callable f(x, y), vectorized over the rule's nodes, or an
+    array of its values at the nodes (rule.xs, rule.ys), as in
+    ``QuadratureRule.integrate``.  The sum accumulates in clongdouble.
     """
     y = np.asarray(y, dtype=float)
     phase = np.exp(1j * c * (rule.xs * y[0] + rule.ys * y[1]))
-    vals = np.asarray(f(rule.xs, rule.ys))
+    vals = np.asarray(f(rule.xs, rule.ys) if callable(f) else f)
     acc = np.sum((rule.weights * phase * vals).astype(np.clongdouble))
     return complex(acc)
 

@@ -121,7 +121,8 @@ def build_spectral_matrix(params, K):
 
     Diagonal d_k = chi0(N,k,nu) + c^2 b_k, off-diagonal
     e_k = c^2 a_k sqrt(h_{k+1}/h_k); symmetry is the self-adjointness
-    identity a_k h_{k+1} = c_{k+1} h_k of the x^2 recurrence.
+    identity a_k h_{k+1} = c_{k+1} h_k of the x^2 recurrence.  Raises
+    ConvergenceError when an entry is not finite.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -135,7 +136,11 @@ def build_spectral_matrix(params, K):
         diag[k] = chi0(N, k, nu) + c2 * b
         if k < K - 1:
             off[k] = c2 * a * math.sqrt(h[k + 1] / h[k])
-    return SymTridiagonal(diag, off)
+    try:
+        return SymTridiagonal(diag, off)
+    except ValueError as exc:  # entries not finite, e.g. nu >~ 1e154
+        raise ConvergenceError(
+            f"spectral matrix entries overflow at nu={nu}, c={c}, N={N}") from exc
 
 
 def _tails_ok(pairs, tolerance):

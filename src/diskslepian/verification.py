@@ -1,17 +1,21 @@
 """Named verification suites behind the command-line ``verify`` command.
 
 Every suite returns a list of Check records (name, measured error, tolerance,
-pass flag, optional detail).  Tolerances are pinned here, identical to the
-acceptance tests; ``quick=True`` shrinks parameter grids (not tolerances) to
-keep the full run under a minute.
+pass flag, optional detail).  This module is the one place that defines the
+check grids and tolerances: the acceptance tests run the full suites through
+``run_suite`` and assert that every check passes, with a pinned check count.
+``quick=True`` shrinks parameter grids (not tolerances) to keep the run to a
+few seconds.
 
-The lemma1 suite restricts its grid to points where the identity value is
-resolvable above the 80-bit cancellation floor of the library quadrature
-(the transform of a high-degree basis function at small argument can be
-~1e-24 of the integrand scale; those corners are exercised by the test
-suite's arbitrary-precision oracle instead).
+The lemma1 suite restricts its grid (``lemma1_grid``) to points where the
+identity value is at least ``LEMMA1_FLOOR``, resolvable above the 80-bit
+cancellation floor of the library quadrature (the transform of a
+high-degree basis function at small argument can be ~1e-24 of the
+integrand scale); the acceptance tests check the corners below that floor
+against an arbitrary-precision oracle at the same ``LEMMA1_TOL``.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +27,13 @@ from . import transforms as tr
 from .orthopoly import disk_poly, gegenbauer2d, jacobi_sequence
 from .quadrature import disk_rule, radial_rule
 
-__all__ = ["Check", "run_suite", "SUITES", "fourier_on_rule", "quadrature_constant"]
+__all__ = ["Check", "run_suite", "SUITES", "PARAM_GRID", "LEMMA1_TOL", "LEMMA1_FLOOR",
+           "lemma1_grid", "quadrature_constant"]
+
+# (nu, c, N) points of the full commute and nystrom suites
+PARAM_GRID = [(nu, c, N) for nu in (0.0, 1.0, 2.5) for c in (0.5, 1.0, 5.0) for N in (0, 1, 3)]
+LEMMA1_TOL = 1e-9
+LEMMA1_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -37,12 +47,6 @@ class Check:
 
 def _check(name, error, tol, detail=""):
     return Check(name, float(error), float(tol), bool(error <= tol), detail)
-
-
-def fourier_on_rule(rule, vals, y):
-    """sum w e^{i <x, y>} f(x) over a DiskRule, f given by its node values."""
-    phase = np.exp(1j * (rule.xs * y[0] + rule.ys * y[1]))
-    return complex(np.sum(rule.weights * phase * vals))
 
 
 def quadrature_constant(family, nu, n, m):
@@ -64,36 +68,48 @@ def quadrature_constant(family, nu, n, m):
         shape = tr._gegen2d_shape(nu, n, m, rho, angle)
     else:
         raise ValueError(f"unknown transform family {family!r}")
-    return fourier_on_rule(rule, vals, (rho * math.cos(angle), rho * math.sin(angle))) / shape
+    return _fourier(nu, rule, vals, rho, angle) / shape
+
+
+def _fourier(nu, rule, vals, rho, angle):
+    """Weighted Fourier transform (c = 1) of node values at y = rho e^{i angle}."""
+    return ops.apply_weighted_fourier(nu, 1.0, vals, (rho * math.cos(angle), rho * math.sin(angle)),
+                                      rule)
+
+
+def lemma1_grid(quick=False):
+    """The lemma1 suite's grid, corners below LEMMA1_FLOOR included: one
+    (a, b, n, xs, rhs) per Jacobi basis element, rhs its closed form at xs."""
+    params = (0.0, 0.5, 1.0, 2.5)
+    xs = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
+    for a in params:
+        for b in params:
+            for n in range(4 if quick else 7):
+                yield a, b, n, xs, np.array([tr.lemma1_rhs(a, b, n, x) for x in xs])
 
 
 def suite_lemma1(quick=False):
     """Finite Hankel transform of the Jacobi basis: quadrature vs closed form."""
     checks = []
-    params = [0.0, 0.5, 1.0, 2.5]
-    ns = range(0, 4 if quick else 7)
-    xs = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
-    for a in params:
-        for b in params:
-            rule = radial_rule(240, b)
-            for n in ns:
-                rhs = np.array([tr.lemma1_rhs(a, b, n, x) for x in xs])
-                # identity values below 1e-7 sit under the double-rule
-                # cancellation floor; the test suite covers those corners
-                # with an arbitrary-precision oracle
-                kept = np.abs(rhs) >= 1e-7
-                f = lambda t: t ** (a + 0.5) * jacobi_sequence(n, a, b, 1 - 2 * t * t)[n]
-                lhs = ops.apply_finite_hankel(b, 1.0, a, f, xs[kept], rule)
-                for x, val, ref in zip(xs[kept], lhs, rhs[kept]):
-                    checks.append(_check(f"lemma1 a={a} b={b} n={n} x={x}",
-                                         abs(val - ref) / abs(ref), 1e-9))
+    for (a, b), cases in itertools.groupby(lemma1_grid(quick), key=lambda g: g[:2]):
+        rule = radial_rule(240, b)
+        for _, _, n, xs, rhs in cases:
+            kept = np.abs(rhs) >= LEMMA1_FLOOR
+            f = lambda t: t ** (a + 0.5) * jacobi_sequence(n, a, b, 1 - 2 * t * t)[n]
+            lhs = ops.apply_finite_hankel(b, 1.0, a, f, xs[kept], rule)
+            for x, val, ref in zip(xs[kept], lhs, rhs[kept]):
+                checks.append(_check(f"lemma1 a={a} b={b} n={n} x={x}",
+                                     abs(val - ref) / abs(ref), LEMMA1_TOL))
     return checks
 
 
 def suite_theorem41(quick=False):
-    """Disk polynomial transform: ratio tests, full identity, constant anchor."""
+    """Disk polynomial transform: ratio tests, full identity, constants."""
     checks = []
     nus = [0.0, 1.0] if quick else [0.0, 1.0, 2.5]
+    all_pairs = [(n, m) for n in range(6) for m in range(6 - n)]
+    ratio_pairs = [(0, 0), (1, 0), (2, 1), (0, 3)] if quick else all_pairs
+    grid_pairs = [(1, 0), (2, 1)] if quick else [(1, 0), (2, 1), (1, 2), (3, 0), (0, 3)]
     for nu in nus:
         rule = disk_rule(150, 256, nu)
         c00 = quadrature_constant("disk", nu, 0, 0)
@@ -101,32 +117,35 @@ def suite_theorem41(quick=False):
         checks.append(_check(f"thm41 c00 nu={nu} equals Gamma(nu+2)",
                              abs(c00 - gamma_val) / gamma_val, 1e-9,
                              f"derived={c00:.12g}"))
-        pairs = [(n, m) for n in range(6) for m in range(6) if n + m <= 5]
-        if quick:
-            pairs = [(0, 0), (1, 0), (2, 1), (0, 3)]
-        for (n, m) in pairs:
+        for (n, m) in ratio_pairs:
             vals = disk_poly(n, m, nu, rule.rs, rule.angles)
             vth = 0.9
-            rho1, rho2 = 0.8, 1.6
-            q1 = fourier_on_rule(rule, vals, (rho1 * math.cos(vth), rho1 * math.sin(vth)))
-            q2 = fourier_on_rule(rule, vals, (rho2 * math.cos(vth), rho2 * math.sin(vth)))
-            s1 = tr._disk_shape(nu, n, m, rho1, vth)
-            s2 = tr._disk_shape(nu, n, m, rho2, vth)
+            q1 = _fourier(nu, rule, vals, 0.8, vth)
+            q2 = _fourier(nu, rule, vals, 1.6, vth)
+            s1 = tr._disk_shape(nu, n, m, 0.8, vth)
+            s2 = tr._disk_shape(nu, n, m, 1.6, vth)
             checks.append(_check(f"thm41 ratio nu={nu} n={n} m={m}",
                                  abs(q1 / q2 - s1 / s2) / abs(q1 / q2), 1e-6))
-        grid_pairs = [(1, 0), (2, 1)] if quick else [(1, 0), (2, 1), (1, 2), (3, 0)]
         for (n, m) in grid_pairs:
             vals = disk_poly(n, m, nu, rule.rs, rule.angles)
             errs, scale = [], 0.0
             for rho in (0.6, 1.0, 1.45, 1.9, 2.4):
                 for vth in (0.3, 0.9, 1.6, 2.5, 4.0):
-                    y = (rho * math.cos(vth), rho * math.sin(vth))
-                    q = fourier_on_rule(rule, vals, y)
                     cf = tr.disk_transform_closed(nu, n, m, rho, vth).value
-                    errs.append(abs(q - cf))
+                    errs.append(abs(_fourier(nu, rule, vals, rho, vth) - cf))
                     scale = max(scale, abs(cf))
             checks.append(_check(f"thm41 full grid nu={nu} n={n} m={m}",
                                  max(errs) / scale, 1e-7))
+    if not quick:
+        # the shipped C_{n,m}, read off the closed form away from the
+        # oracle's reference point, against the quadrature oracle
+        for nu in [-0.9] + nus:
+            for (n, m) in all_pairs:
+                const = (tr.disk_transform_closed(nu, n, m, 1.9, 0.4).value
+                         / tr._disk_shape(nu, n, m, 1.9, 0.4))
+                checks.append(_check(f"thm41 constant nu={nu} n={n} m={m}",
+                                     abs(quadrature_constant("disk", nu, n, m) - const)
+                                     / abs(const), 1e-9))
     return checks
 
 
@@ -142,19 +161,17 @@ def suite_theorem42(quick=False):
         for (n, k) in pairs:
             vals = gegenbauer2d(n, k, nu + 0.5, rule.xs, rule.ys)
             phi = 1.1
-            rho1, rho2 = 0.9, 1.7
-            f1 = fourier_on_rule(rule, vals, (rho1 * math.cos(phi), rho1 * math.sin(phi)))
-            f2 = fourier_on_rule(rule, vals, (rho2 * math.cos(phi), rho2 * math.sin(phi)))
-            s1 = tr._gegen2d_shape(nu, n, k, rho1, phi)
-            s2 = tr._gegen2d_shape(nu, n, k, rho2, phi)
+            f1 = _fourier(nu, rule, vals, 0.9, phi)
+            f2 = _fourier(nu, rule, vals, 1.7, phi)
+            s1 = tr._gegen2d_shape(nu, n, k, 0.9, phi)
+            s2 = tr._gegen2d_shape(nu, n, k, 1.7, phi)
             checks.append(_check(f"thm42 rho-ratio nu={nu} n={n} k={k}",
                                  abs(f1 / f2 - s1 / s2) / abs(f1 / f2), 1e-6))
             rho = 1.3
-            p1, p2 = 0.5, 2.2
-            g1 = fourier_on_rule(rule, vals, (rho * math.cos(p1), rho * math.sin(p1)))
-            g2 = fourier_on_rule(rule, vals, (rho * math.cos(p2), rho * math.sin(p2)))
-            t1 = tr._gegen2d_shape(nu, n, k, rho, p1)
-            t2 = tr._gegen2d_shape(nu, n, k, rho, p2)
+            g1 = _fourier(nu, rule, vals, rho, 0.5)
+            g2 = _fourier(nu, rule, vals, rho, 2.2)
+            t1 = tr._gegen2d_shape(nu, n, k, rho, 0.5)
+            t2 = tr._gegen2d_shape(nu, n, k, rho, 2.2)
             checks.append(_check(f"thm42 phi-ratio nu={nu} n={n} k={k}",
                                  abs(g1 / g2 - t1 / t2) / abs(g1 / g2), 1e-6))
     return checks
@@ -171,11 +188,12 @@ def suite_kernel(quick=False):
             pts.append(p)
     for nu in ([0.0, 1.0] if quick else [0.0, 1.0, 2.5]):
         rule = disk_rule(150, 256, nu)
+        ones = np.ones_like(rule.xs)
         for c in (1.0, 3.0):
             worst = 0.0
             for p in pts:
                 y, z = p[:2], p[2:]
-                q = fourier_on_rule(rule, np.ones_like(rule.xs), (c * (y[0] - z[0]), c * (y[1] - z[1])))
+                q = ops.apply_weighted_fourier(nu, c, ones, y - z, rule)
                 worst = max(worst, abs(q - ops.kernel_K(nu, c, y, z)))
             checks.append(_check(f"kernel nu={nu} c={c}", worst, 1e-8))
     return checks
@@ -204,8 +222,7 @@ def _L_near_boundary(nu, c, N, f, t):
 def suite_commute(quick=False):
     """Commutation of the Hankel operator with the differential operator."""
     checks = []
-    grid = [(0.0, 1.0, 0), (1.0, 1.0, 1), (2.5, 0.5, 3)] if quick else \
-        [(nu, c, N) for nu in (0.0, 1.0, 2.5) for c in (0.5, 1.0, 5.0) for N in (0, 1, 3)]
+    grid = [(0.0, 1.0, 0), (1.0, 1.0, 1), (2.5, 0.5, 3)] if quick else PARAM_GRID
     xs = np.linspace(0.1, 0.9, 9)
     for (nu, c, N) in grid:
         rule = radial_rule(240, nu)
@@ -222,17 +239,18 @@ def suite_commute(quick=False):
 
 
 def suite_nystrom(quick=False):
-    """Cross-method agreement: spectral sqrt(c) mu vs the Nystrom oracle."""
+    """Cross-method agreement: spectral sqrt(c) mu vs the Nystrom oracle,
+    relative to the smaller of the two magnitudes."""
     checks = []
-    grid = [(0.0, 1.0, 0), (1.0, 0.5, 3)] if quick else \
-        [(nu, c, N) for nu in (0.0, 1.0, 2.5) for c in (0.5, 1.0, 5.0) for N in (0, 1, 3)]
+    grid = [(0.0, 1.0, 0), (1.0, 0.5, 3)] if quick else PARAM_GRID
     for (nu, c, N) in grid:
         p = sl.SlepianParams(nu=nu, c=c, N=N)
         modes = sl.solve_modes(p, 5)
         oracle = ops.nystrom_hankel_eigs(nu, c, N, 300, 5)
         worst = 0.0
         for m, q in zip(modes, oracle):
-            worst = max(worst, abs(math.sqrt(c) * m.mu - q.value) / abs(q.value))
+            spectral = math.sqrt(c) * m.mu
+            worst = max(worst, abs(spectral - q.value) / min(abs(spectral), abs(q.value)))
         detail = ""
         if (nu, c, N) == (0.0, 1.0, 0):
             detail = f"top sqrt(c)*mu = {oracle[0].value:.17g}"
@@ -243,28 +261,35 @@ def suite_nystrom(quick=False):
 def suite_orthogonality(quick=False):
     """Gram matrices: radial phi family and full 2D psi family."""
     checks = []
-    grid = [(0.0, 1.0, 0)] if quick else [(0.0, 1.0, 0), (1.0, 2.0, 1), (2.5, 0.5, 2)]
+    grid = [(0.0, 1.0, 0)] if quick else [(0.0, 1.0, 0), (1.0, 2.0, 1), (2.5, 0.5, 2),
+                                          (1.0, 5.0, 0)]
     nmax = 6 if quick else 11
     for (nu, c, N) in grid:
         p = sl.SlepianParams(nu=nu, c=c, N=N)
         modes = sl.solve_modes(p, nmax)
-        rule = radial_rule(300, nu)
+        rule = radial_rule(320, nu)
         vals = np.array([sl.eval_phi(m, p, rule.nodes) for m in modes])
         gram = (vals * rule.weights) @ vals.T
         checks.append(_check(f"radial gram nu={nu} c={c} N={N}",
                              np.max(np.abs(gram - np.eye(nmax))), 1e-9))
-    # 2D double orthogonality across angular orders
-    nu, c = 1.0, 1.5
-    drule = disk_rule(120, 128, nu)
-    fam = []
-    for N in (0, 1, 2):
-        p = sl.SlepianParams(nu=nu, c=c, N=N)
-        for m in sl.solve_modes(p, 2):
-            fam.append(sl.eval_psi(m, p, drule.rs, drule.angles))
-    fam = np.array(fam)
-    gram = (fam * drule.weights) @ fam.conj().T
-    checks.append(_check("disk gram (N=0..2, n=0..1)",
-                         np.max(np.abs(gram - np.eye(len(fam)))), 1e-8))
+    # 2D double orthogonality across angular orders N = 0..2, per_N modes
+    # each; the two-mode gram keeps its name from before the full grid grew
+    grams = [(1.0, 1.5, 2)]
+    if not quick:
+        grams += [(0.0, 1.0, 3), (1.0, 2.0, 3), (1.0, 1.5, 3)]
+    for (nu, c, per_N) in grams:
+        drule = disk_rule(120, 128, nu)
+        fam = []
+        for N in (0, 1, 2):
+            p = sl.SlepianParams(nu=nu, c=c, N=N)
+            for m in sl.solve_modes(p, per_N):
+                fam.append(sl.eval_psi(m, p, drule.rs, drule.angles))
+        fam = np.array(fam)
+        gram = (fam * drule.weights) @ fam.conj().T
+        name = f"disk gram (N=0..2, n=0..{per_N - 1})"
+        if per_N == 3:
+            name += f" nu={nu} c={c}"
+        checks.append(_check(name, np.max(np.abs(gram - np.eye(len(fam)))), 1e-8))
     return checks
 
 

@@ -250,10 +250,21 @@ class TestExitCodes:
         ("eigs", "--nu", "0", "--c", "1", "--N", "0", "--modes", "2", "--tol", "0"),
         ("eval", "--nu", "0", "--c", "1", "--N", "0", "--at", "0.5:nan"),
         ("eval", "--nu", "0", "--c", "1", "--N", "0", "--at", "0.5:inf"),
+        ("eval", "--nu", "0", "--c", "1", "--N", "0", "--mode", "-1", "--at", "0.5"),
+        ("tabulate", "--nu", "0", "--c", "1", "--N", "0", "--grid-r", "3", "--mode", "-2"),
     ])
     def test_non_finite_or_nonpositive_input_is_usage(self, capsys, argv):
         code, out = run_cli_out(capsys, *argv)
         assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("nu", ["1e155", "1e160", "1e300"])
+    def test_overflowing_spectral_matrix_is_numerical_failure(self, capsys, nu):
+        # the recurrence coefficients overflow for nu >~ 1e154; below that
+        # the |lambda| <= 1 guard refuses the solve
+        code, out = run_cli_out(capsys, "eigs", "--nu", nu, "--c", "1", "--N", "0",
+                                "--modes", "1")
+        assert code == 3
         assert out == ""
 
     def test_invalid_domain_is_usage(self):

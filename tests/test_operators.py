@@ -181,6 +181,14 @@ class TestNystrom:
         with pytest.raises(ValueError):
             ops.nystrom_hankel_eigs(0.0, 1.0, 0, 30, 10)
 
+    def test_refuses_bandwidth_past_kernel_domain(self):
+        # past c = 40 the double-double kernel loses digits (1.6e-12 at 50,
+        # 2.9e-8 at 60 against mpmath), so such c is refused before any work
+        assert len(ops.nystrom_hankel_eigs(0.0, 40.0, 0, 20, 5)) == 5
+        for c in (40.5, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="c <= 40"):
+                ops.nystrom_hankel_eigs(0.0, c, 0, 20, 5)
+
     def test_eigenvector_quadrature_normalized(self):
         pairs = ops.nystrom_hankel_eigs(1.0, 1.0, 0, 120, 3)
         rule = radial_rule(120, 1.0)
@@ -211,6 +219,12 @@ class TestWeightedFourier:
         rule = disk_rule(80, 96, 1.0)
         assert ops.apply_weighted_fourier(1.0, 2.0, lambda x, y: np.ones_like(x),
                                           (0.0, 0.0), rule) == pytest.approx(1.0, abs=1e-12)
+
+    def test_node_values_match_callable(self):
+        rule = disk_rule(40, 48, 1.0)
+        f = lambda x, y: 1.0 + x - 0.5 * y * y
+        by_values = ops.apply_weighted_fourier(1.0, 2.0, f(rule.xs, rule.ys), (0.3, -0.4), rule)
+        assert by_values == ops.apply_weighted_fourier(1.0, 2.0, f, (0.3, -0.4), rule)
 
     def test_constant_anywhere_matches_kernel(self):
         # F, applied to 1, equals j_{nu+1}(c |y|) (the z=0 kernel value)
