@@ -140,6 +140,8 @@ def cmd_tabulate(args):
     params = _params_from(args)
     if args.grid_r < 1:
         raise UsageError("--grid-r must be >= 1")
+    if args.grid_theta < 0:
+        raise UsageError("--grid-theta must be >= 0")
     mode = _solve_mode(params, args.mode)
     rs = np.arange(1, args.grid_r + 1) / args.grid_r
     if args.grid_theta:

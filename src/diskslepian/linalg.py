@@ -1,9 +1,11 @@
 """Dense symmetric and symmetric-tridiagonal eigensolvers.
 
-Thin, contract-enforcing wrappers around LAPACK (via scipy/numpy): the
-spectral work in this package never needs more than a few thousand rows, and
-the value added here is the ordering, sign and residual conventions that the
-rest of the package relies on:
+Thin, contract-enforcing wrappers around numpy's LAPACK: both solvers go
+through one ``numpy.linalg.eigh`` call (a tridiagonal matrix is passed
+densely).  The spectral work in this package stays at a few hundred rows,
+where the dense solve costs about as much as a tridiagonal one and spares the
+runtime a scipy import.  The value added here is the ordering, sign and
+residual conventions that the rest of the package relies on:
 
 * ``symtri_eigen``  -- eigenvalues ascending (Sturm-Liouville convention),
 * ``dense_sym_eigen`` -- eigenvalues by descending magnitude (integral-operator
@@ -17,7 +19,6 @@ rest of the package relies on:
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["SymTridiagonal", "EigenPair", "symtri_eigen", "dense_sym_eigen",
            "ConvergenceError", "AsymmetryError"]
@@ -60,6 +61,13 @@ class SymTridiagonal:
             out[1:] += self.offdiag * v[:-1]
         return out
 
+    def to_dense(self):
+        """The matrix as a dense (K, K) array."""
+        A = np.diag(self.diag)
+        i = np.arange(self.dim - 1)
+        A[i, i + 1] = A[i + 1, i] = self.offdiag
+        return A
+
     def norm_bound(self):
         """Infinity-norm upper bound for ||T||_2."""
         d, e = np.abs(self.diag), np.abs(self.offdiag)
@@ -83,25 +91,27 @@ def _fix_sign(v):
     return -v if v[i] < 0 else v
 
 
-def symtri_eigen(T, count):
-    """Lowest ``count`` eigenpairs of a SymTridiagonal, values ascending."""
-    if count < 1 or count > T.dim:
-        raise ValueError(f"count must be in [1, {T.dim}], got {count}")
+def _eigen_pairs(A, count, by_magnitude=False):
+    """First ``count`` eigenpairs of symmetric A: values ascending, or by
+    descending magnitude."""
+    if count < 1 or count > len(A):
+        raise ValueError(f"count must be in [1, {len(A)}], got {count}")
     try:
-        if T.dim == 1:
-            vals = np.array([T.diag[0]])
-            vecs = np.array([[1.0]])
-        else:
-            vals, vecs = scipy.linalg.eigh_tridiagonal(
-                T.diag, T.offdiag, select="i", select_range=(0, count - 1))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+        vals, vecs = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+    order = np.argsort(-np.abs(vals), kind="stable") if by_magnitude else range(len(A))
     pairs = []
-    for j in range(count):
+    for j in order[:count]:
         v = _fix_sign(vecs[:, j].copy())
         v /= np.linalg.norm(v)
         pairs.append(EigenPair(float(vals[j]), v))
     return pairs
+
+
+def symtri_eigen(T, count):
+    """Lowest ``count`` eigenpairs of a SymTridiagonal, values ascending."""
+    return _eigen_pairs(T.to_dense(), count)
 
 
 def dense_sym_eigen(A, count, sym_tol=1e-12):
@@ -112,16 +122,4 @@ def dense_sym_eigen(A, count, sym_tol=1e-12):
     scale = np.max(np.abs(A))
     if scale > 0 and np.max(np.abs(A - A.T)) > sym_tol * scale:
         raise AsymmetryError("matrix is not symmetric to relative 1e-12")
-    if count < 1 or count > A.shape[0]:
-        raise ValueError(f"count must be in [1, {A.shape[0]}], got {count}")
-    try:
-        vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
-    order = np.argsort(-np.abs(vals), kind="stable")[:count]
-    pairs = []
-    for j in order:
-        v = _fix_sign(vecs[:, j].copy())
-        v /= np.linalg.norm(v)
-        pairs.append(EigenPair(float(vals[j]), v))
-    return pairs
+    return _eigen_pairs(0.5 * (A + A.T), count, by_magnitude=True)

@@ -1,9 +1,16 @@
 """Gaussian quadrature rules and the tensor polar rule for the disk weight.
 
-All Gauss rules are produced by Golub-Welsch: eigen-decompose the Jacobi
-matrix built from the three-term recurrence coefficients of the weight's
-orthogonal polynomials.  Nodes are the eigenvalues; weights are
-``mass * (first eigenvector component)**2``.
+All Gauss rules come from the Jacobi matrix of the weight's three-term
+recurrence (Golub-Welsch), without its eigenvectors:
+
+* nodes are the eigenvalues (``numpy.linalg.eigvalsh``), refined by one
+  Newton step on p_n(x) = 0;
+* weights are Christoffel numbers, w_j = 1 / sum_{k<n} p_k(x_j)^2, a sum of
+  positive terms that keeps the small endpoint weights to full relative
+  accuracy (the squared first eigenvector component of a dense solver
+  does not);
+* p_k and p_n' are evaluated in the orthonormal recurrence, which stays
+  O(1) on the interval where the monic one underflows like 4^-n on (0,1).
 
 The radial weight (1-t^2)^nu on (0,1) is not a classical family (it is not
 symmetric on its interval), so its recurrence coefficients are computed with
@@ -29,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import SymTridiagonal, symtri_eigen
+from .linalg import SymTridiagonal
 from .specfun import gamma_fn
 
 __all__ = ["QuadratureRule", "DiskRule", "gauss_legendre", "gauss_jacobi",
@@ -74,15 +81,44 @@ class QuadratureRule:
         return float(np.dot(self.weights, vals))
 
 
+def _orthonormal_sweep(x, alpha, sqrt_beta, mass):
+    """Run the orthonormal recurrence at x up to degree n = len(alpha).
+
+    Returns (q, dq, s, ds): q = sqrt(beta_n) p_n(x) and its derivative, whose
+    ratio is the Newton step on p_n, and s = sum_{k<n} p_k(x)^2 with its
+    derivative.
+    """
+    p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    s, ds = p * p, np.zeros_like(x)
+    for k in range(len(alpha)):
+        b_k = sqrt_beta[k - 1] if k else 0.0
+        q = (x - alpha[k]) * p - b_k * p_prev
+        dq = p + (x - alpha[k]) * dp - b_k * dp_prev
+        if k + 1 == len(alpha):
+            return q, dq, s, 2 * ds
+        p_prev, p = p, q / sqrt_beta[k]
+        dp_prev, dp = dp, dq / sqrt_beta[k]
+        s += p * p
+        ds += p * dp
+
+
 def _golub_welsch(alpha, beta, mass, domain, desc):
-    """Gauss rule from monic recurrence coefficients alpha_k, beta_k (k>=1)."""
-    n = len(alpha)
-    off = np.sqrt(np.asarray(beta[1:n], dtype=float))
-    T = SymTridiagonal(np.asarray(alpha, dtype=float), off)
-    pairs = symtri_eigen(T, n)
-    nodes = np.array([p.value for p in pairs])
-    w = np.array([mass * p.vector[0] ** 2 for p in pairs])
-    return QuadratureRule(nodes, w, domain, desc)
+    """Gauss rule from monic recurrence coefficients alpha_k, beta_k (k>=1).
+
+    The Newton step h is of the size of the eigensolver's roundoff, so the
+    Christoffel sum is carried to the refined node to first order, s - h s',
+    instead of being re-evaluated at that node rounded to double: next to a
+    singular endpoint, as of (1-x)^nu with nu < 0, the sum varies on the
+    scale of 1 - x, and re-evaluation put 1e-12 into the mass of
+    radial_rule(240, -0.9).
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    sqrt_beta = np.sqrt(np.asarray(beta[1:len(alpha)], dtype=float))
+    nodes = np.linalg.eigvalsh(SymTridiagonal(alpha, sqrt_beta).to_dense())
+    q, dq, s, ds = _orthonormal_sweep(nodes, alpha, sqrt_beta, mass)
+    h = q / dq
+    return QuadratureRule(nodes - h, 1.0 / (s - h * ds), domain, desc)
 
 
 @lru_cache(maxsize=256)

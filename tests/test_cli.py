@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +55,7 @@ class TestEigs:
         # 17 significant digits round-trip
         mu = float(lines[1].split(",")[3])
         p = SlepianParams(nu=0.0, c=1.0, N=0)
-        assert mu == solve_modes(p, 1)[0].mu
+        assert mu == solve_modes(p, 2)[0].mu
 
     def test_cross_command_consistency(self, capsys):
         code, out = run_cli_out(capsys, "eigs", "--nu", "0", "--c", "1",
@@ -252,6 +256,7 @@ class TestExitCodes:
         ("eval", "--nu", "0", "--c", "1", "--N", "0", "--at", "0.5:inf"),
         ("eval", "--nu", "0", "--c", "1", "--N", "0", "--mode", "-1", "--at", "0.5"),
         ("tabulate", "--nu", "0", "--c", "1", "--N", "0", "--grid-r", "3", "--mode", "-2"),
+        ("tabulate", "--nu", "0", "--c", "1", "--N", "0", "--grid-r", "3", "--grid-theta", "-2"),
     ])
     def test_non_finite_or_nonpositive_input_is_usage(self, capsys, argv):
         code, out = run_cli_out(capsys, *argv)
@@ -267,6 +272,30 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
 
+    def test_unconverged_pinned_truncation_is_numerical_failure(self, capsys):
+        # K = 4 leaves the coefficient tail at c = 30 far above tolerance,
+        # and its modes (mu = 0.0627, -0.179) pass the |lambda| <= 1 guard;
+        # the converged ones sit on the nu = 0 plateau c |mu| = 1
+        argv = ("eigs", "--nu", "0", "--c", "30", "--N", "0", "--modes", "2")
+        code, out = run_cli_out(capsys, *argv, "--truncation", "4")
+        assert code == 3
+        assert out == ""
+        code, out = run_cli_out(capsys, *argv, "--truncation", "40")
+        assert code == 0
+        mus = [row["mu"] for row in json.loads(out)["results"]]
+        assert mus == pytest.approx([1 / 30, -1 / 30], rel=1e-12)
+
     def test_invalid_domain_is_usage(self):
         assert run_cli("eigs", "--nu", "-2", "--c", "1", "--N", "0",
                        "--modes", "1") == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the runtime must not pay its import
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import diskslepian.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.strip() == "[]"

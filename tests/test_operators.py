@@ -260,9 +260,15 @@ class TestWeightedFourier:
         rule = disk_rule(90, 96, nu)
         f = lambda x, y: 1.0 + x - 0.5 * y * y
         y0 = (0.35, -0.2)
-        Ff = lambda x, y: np.array(
-            [ops.apply_weighted_fourier(nu, c, f, (xi, yi), rule)
-             for xi, yi in zip(np.atleast_1d(x), np.atleast_1d(y))])
+        # F f on every rule point at once.  <x, y> = r r' cos(theta - theta')
+        # and the angles are uniform, so one phase tensor over (r, angle
+        # difference, r') holds every phase of the 8640 x 8640 matrix
+        r, th = rule.radial.nodes, rule.thetas
+        n_t = len(th)
+        phase = np.exp(1j * c * np.multiply.outer(r, np.outer(np.cos(th), r)))
+        q = phase @ (rule.weights * f(rule.xs, rule.ys)).reshape(len(r), n_t)
+        diff = (np.arange(n_t)[:, None] - np.arange(n_t)) % n_t
+        Ff = q[:, diff, np.arange(n_t)].sum(axis=-1).ravel()
         lhs = ops.apply_adjoint_fourier(nu, c, Ff, y0, rule)
         kv = np.array([ops.kernel_K(nu, c, y0, (zx, zy))
                        for zx, zy in zip(rule.xs, rule.ys)])

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -60,6 +61,18 @@ class TestRadialRule:
     def test_mass(self, nu):
         r = radial_rule(40, nu)
         assert np.sum(r.weights) == pytest.approx(radial_mass(nu), rel=1e-13)
+
+    @pytest.mark.parametrize("n,nu", [(600, 0.7), (240, -0.9)])
+    def test_large_rule_moments(self, n, nu):
+        # the monic recurrence underflows like 4^-n on (0,1) by n = 600; next
+        # to the singular endpoint of nu < 0 the Christoffel sum moves on the
+        # scale of 1 - t, so it must be carried to the Newton-refined node
+        r = radial_rule(n, nu)
+        assert np.all(np.isfinite(r.nodes)) and np.all(np.isfinite(r.weights))
+        t = r.nodes.astype(np.longdouble)
+        for j in range(120):
+            ref = float(mpmath.beta(mpmath.mpf(j + 1) / 2, nu + 1) / 2)
+            assert abs(r.integrate(t ** j) - ref) <= 1e-13 * ref
 
     def test_trivial_moments(self):
         assert radial_rule(10, 0.0).integrate(lambda t: t) == pytest.approx(0.5, abs=1e-14)

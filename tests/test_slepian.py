@@ -122,6 +122,18 @@ class TestSolveModes:
             tail = np.maximum(a[3 * len(a) // 4:], floor)
             assert np.all(np.diff(tail) <= 1e-30 + 0 * tail[1:])
 
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("c", [0.5, 5.0, 40.0, 80.0])
+    def test_mu_independent_of_num_modes(self, nu, c):
+        # asking for more modes changes the truncation, not the leading modes
+        for N in range(5):
+            p = SlepianParams(nu=nu, c=c, N=N)
+            few = sl.solve_modes(p, 10)[:4]
+            many = sl.solve_modes(p, 30)[:4]
+            assert few[0].truncation != many[0].truncation
+            for a, b in zip(few, many):
+                assert abs(a.mu - b.mu) <= 1e-12 * abs(b.mu)
+
 
 class TestEvaluation:
     def test_phi_reproduces_basis_at_zero_bandwidth(self):
