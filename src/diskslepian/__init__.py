@@ -16,13 +16,10 @@ __version__ = "0.1.0"
 
 from .linalg import EigenPair, SymTridiagonal, dense_sym_eigen, symtri_eigen
 from .operators import (apply_adjoint_fourier, apply_finite_hankel, apply_L,
-                        apply_L_classical, apply_weighted_fourier, kernel_K,
-                        nystrom_hankel_eigs)
-from .orthopoly import (JacobiIndex, TBasisIndex, disk_poly, disk_poly_norm,
-                        gegenbauer2d, gegenbauer_c, jacobi_p, t_basis,
-                        t_norm_sq, x2_recurrence_coeffs)
-from .quadrature import (DiskRule, QuadratureRule, disk_rule, gauss_jacobi,
-                         gauss_legendre, radial_rule)
+                        apply_weighted_fourier, kernel_K, nystrom_hankel_eigs)
+from .orthopoly import (TBasisIndex, disk_poly, disk_poly_norm, gegenbauer2d,
+                        gegenbauer_c, jacobi_sequence, t_norm_sq, x2_recurrence_coeffs)
+from .quadrature import DiskRule, QuadratureRule, disk_rule, gauss_jacobi, radial_rule
 from .slepian import (RadialMode, SlepianParams, build_spectral_matrix, chi0,
                       eval_phi, eval_psi, eval_R, solve_modes)
 from .specfun import bessel_j, gamma_fn, j_script, j_small
@@ -32,13 +29,10 @@ from .transforms import (ClosedFormResult, disk_transform_closed,
 __all__ = [
     "EigenPair", "SymTridiagonal", "dense_sym_eigen", "symtri_eigen",
     "apply_adjoint_fourier", "apply_finite_hankel", "apply_L",
-    "apply_L_classical", "apply_weighted_fourier", "kernel_K",
-    "nystrom_hankel_eigs",
-    "JacobiIndex", "TBasisIndex", "disk_poly", "disk_poly_norm",
-    "gegenbauer2d", "gegenbauer_c", "jacobi_p", "t_basis", "t_norm_sq",
-    "x2_recurrence_coeffs",
-    "DiskRule", "QuadratureRule", "disk_rule", "gauss_jacobi",
-    "gauss_legendre", "radial_rule",
+    "apply_weighted_fourier", "kernel_K", "nystrom_hankel_eigs",
+    "TBasisIndex", "disk_poly", "disk_poly_norm", "gegenbauer2d",
+    "gegenbauer_c", "jacobi_sequence", "t_norm_sq", "x2_recurrence_coeffs",
+    "DiskRule", "QuadratureRule", "disk_rule", "gauss_jacobi", "radial_rule",
     "RadialMode", "SlepianParams", "build_spectral_matrix", "chi0",
     "eval_phi", "eval_psi", "eval_R", "solve_modes",
     "bessel_j", "gamma_fn", "j_script", "j_small",

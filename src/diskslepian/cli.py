@@ -2,7 +2,9 @@
 
 Subcommands
 -----------
-eigs      table of (N, n, chi, mu, lambda_re, lambda_im, truncation)
+eigs      table of (N, n, chi, mu, lambda_re, lambda_im, truncation); n
+          counts modes by ascending chi, which for nu < 0 is not
+          descending |mu|
 eval      evaluate phi (radial) or psi (polar) at explicit points
 tabulate  CSV/JSON table of phi on a radial grid or psi on a polar grid
 verify    run a named verification suite; nonzero exit on any failed check
@@ -146,11 +148,11 @@ def cmd_tabulate(args):
     rs = np.arange(1, args.grid_r + 1) / args.grid_r
     if args.grid_theta:
         thetas = 2 * np.pi * np.arange(args.grid_theta) / args.grid_theta
-        rows = []
-        for r in rs:
-            vals = eval_psi(mode, params, np.full_like(thetas, r), thetas)
-            rows.extend((float(r), float(t), float(v.real), float(v.imag))
-                        for t, v in zip(thetas, vals))
+        r_all = np.repeat(rs, args.grid_theta)
+        t_all = np.tile(thetas, args.grid_r)
+        vals = eval_psi(mode, params, r_all, t_all)
+        rows = [(float(r), float(t), float(v.real), float(v.imag))
+                for r, t, v in zip(r_all, t_all, vals)]
         header = ("r", "theta", "re", "im")
     else:
         vals = np.atleast_1d(eval_phi(mode, params, rs))
@@ -235,9 +237,11 @@ def _build_parser():
         if modes:
             p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("eigs", help="compute chi, mu, lambda for the first modes")
+    p = sub.add_parser("eigs", help="compute chi, mu, lambda for the first modes by chi")
     common(p, modes=True)
-    p.add_argument("--modes", type=int, required=True)
+    p.add_argument("--modes", type=int, required=True,
+                   help="number of modes, by ascending chi; for nu < 0 that is "
+                   "not descending |mu|")
     p.set_defaults(fn=cmd_eigs)
 
     p = sub.add_parser("eval", help="evaluate phi (r) or psi (r:theta) at points")

@@ -27,9 +27,8 @@ from .linalg import EigenPair, dense_sym_eigen
 from .quadrature import radial_rule
 from .specfun import j_small, j_script_over_power_array
 
-__all__ = ["apply_finite_hankel", "apply_L", "apply_L_classical",
-           "nystrom_hankel_eigs", "kernel_K", "apply_weighted_fourier",
-           "apply_adjoint_fourier"]
+__all__ = ["apply_finite_hankel", "apply_L", "nystrom_hankel_eigs", "kernel_K",
+           "apply_weighted_fourier", "apply_adjoint_fourier"]
 
 _LD = np.longdouble
 _NYSTROM_MAX_C = 40.0
@@ -40,9 +39,13 @@ def apply_finite_hankel(nu, c, N, f, x, rule):
 
         integral_0^1 scriptJ_N(c x t) f(t) (1-t^2)^nu dt
 
-    ``rule`` must be a radial rule built for the weight (1-t^2)^nu.  x is a
-    scalar (float result) or an ndarray (array result of its shape), with
-    0 < x and c * x <= 12.  f is called once, on the longdouble nodes.
+    ``rule`` is a radial rule for the weight (1-t^2)^nu.  scriptJ_N(z) is
+    z^(N+1/2) times a power series in z^2, so for f(t) = t^(N+1/2) q(t^2)
+    the integrand is t^(2N+1) times a series in t^2, which
+    radial_rule(n, nu, beta=N) integrates exactly up to the series terms of
+    degree >= 2n in t^2; for integer N, beta = 0 covers the same class.
+    x is a scalar (float result) or an ndarray (array result of its shape),
+    with 0 < x and c * x <= 12.  f is called once, on the longdouble nodes.
     """
     x = np.asarray(x, dtype=_LD)
     if np.any(x <= 0):
@@ -77,28 +80,6 @@ def apply_L(nu, c, N, f, x, h=1e-4):
         raise ValueError(f"stencil of width {h} out of domain at x={x}")
     coarse = _L_once(nu, c, N, f, x, h)
     fine = _L_once(nu, c, N, f, x, h / 2)
-    return (16 * fine - coarse) / 15
-
-
-def _L_classical_once(c, N, f, x, h):
-    fm2, fm1, f0, fp1, fp2 = (f(x - 2 * h), f(x - h), f(x), f(x + h), f(x + 2 * h))
-    d1 = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h)
-    d2 = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
-    return (1 - x * x) * d2 - 2 * x * d1 + ((0.25 - N * N) / (x * x) - c * c * x * x) * f0
-
-
-def apply_L_classical(c, N, f, x, h=1e-4):
-    """The classical (unweighted) prolate operator
-
-        (1-t^2) y'' - 2 t y' + ((1/4 - N^2)/t^2 - c^2 t^2) y
-
-    kept as its own code path so the weight-zero reduction of apply_L can be
-    regression-tested against it.
-    """
-    if not (2 * h < x < 1 - 2 * h):
-        raise ValueError(f"stencil of width {h} out of domain at x={x}")
-    coarse = _L_classical_once(c, N, f, x, h)
-    fine = _L_classical_once(c, N, f, x, h / 2)
     return (16 * fine - coarse) / 15
 
 

@@ -1,10 +1,11 @@
 """Orthogonal polynomial families used by the disk spectral method.
 
 Jacobi and Gegenbauer polynomials, complex disk (Zernike-type) polynomials,
-two-variable Gegenbauer polynomials, and the radial basis
+two-variable Gegenbauer polynomials, and the norms and x^2 recurrence of
+the radial basis
 
-    t_basis:  T_{N,n}(x) = x^(N+1/2) * R_{N,n}(x),
-              R_{N,n}(x) = N! n!/(n+N)! * P_n^{(N,nu)}(1 - 2 x^2),
+    T_{N,n}(x) = x^(N+1/2) * R_{N,n}(x),
+    R_{N,n}(x) = N! n!/(n+N)! * P_n^{(N,nu)}(1 - 2 x^2),
 
 which diagonalizes the radial differential operator at zero bandwidth.  All
 evaluation goes through three-term recurrences; hypergeometric sums appear
@@ -25,27 +26,15 @@ so they are finite for every index (a naive b_0 is 0/0 when N = nu) and
 satisfy the self-adjointness identity a_n h_{n+1} = c_{n+1} h_n exactly.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["JacobiIndex", "TBasisIndex", "jacobi_p", "gegenbauer_c",
-           "disk_poly", "disk_poly_norm", "gegenbauer2d",
-           "t_basis", "t_norm_sq", "x2_recurrence_coeffs"]
-
-
-@dataclass(frozen=True)
-class JacobiIndex:
-    n: int
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("Jacobi degree must be >= 0")
-        if self.alpha <= -1 or self.beta <= -1:
-            raise ValueError("Jacobi parameters must exceed -1")
+__all__ = ["TBasisIndex", "jacobi_values", "jacobi_sequence", "gegenbauer_c",
+           "disk_poly", "disk_poly_norm", "gegenbauer2d", "t_norm_sq",
+           "x2_recurrence_coeffs"]
 
 
 @dataclass(frozen=True)
@@ -61,30 +50,35 @@ class TBasisIndex:
             raise ValueError("T-basis weight exponent must exceed -1")
 
 
+def jacobi_values(a, b, u):
+    """P_0^{(a,b)}(u), P_1(u), P_2(u), ... by the three-term recurrence.
+
+    An endless generator of values of u's shape: each is computed when it
+    is asked for, so a caller that accumulates a sum holds two terms at a
+    time.
+    """
+    prev = np.ones_like(u)
+    yield prev
+    cur = (a + 1) + (a + b + 2) * (u - 1) / 2
+    n = 1
+    while True:
+        yield cur
+        c1 = 2 * (n + 1) * (n + a + b + 1) * (2 * n + a + b)
+        c2 = (2 * n + a + b + 1) * (a * a - b * b)
+        c3 = (2 * n + a + b) * (2 * n + a + b + 1) * (2 * n + a + b + 2)
+        c4 = 2 * (n + a) * (n + b) * (2 * n + a + b + 2)
+        prev, cur = cur, ((c2 + c3 * u) * cur - c4 * prev) / c1
+        n += 1
+
+
 def jacobi_sequence(nmax, a, b, u):
-    """All Jacobi values P_0..P_nmax at u via the three-term recurrence.
+    """All Jacobi values P_0..P_nmax at u, stacked from ``jacobi_values``.
 
     ``u`` may be a scalar or ndarray; returns an array of shape
     (nmax+1,) + shape(u).
     """
     u = np.asarray(u, dtype=np.result_type(u, float))
-    out = np.empty((nmax + 1,) + u.shape, dtype=u.dtype)
-    out[0] = 1.0
-    if nmax == 0:
-        return out
-    out[1] = (a + 1) + (a + b + 2) * (u - 1) / 2
-    for n in range(1, nmax):
-        c1 = 2 * (n + 1) * (n + a + b + 1) * (2 * n + a + b)
-        c2 = (2 * n + a + b + 1) * (a * a - b * b)
-        c3 = (2 * n + a + b) * (2 * n + a + b + 1) * (2 * n + a + b + 2)
-        c4 = 2 * (n + a) * (n + b) * (2 * n + a + b + 2)
-        out[n + 1] = ((c2 + c3 * u) * out[n] - c4 * out[n - 1]) / c1
-    return out
-
-
-def jacobi_p(idx, x):
-    """Jacobi polynomial P_n^{(alpha,beta)}(x) by three-term recurrence."""
-    return float(jacobi_sequence(idx.n, idx.alpha, idx.beta, float(x))[idx.n])
+    return np.array(list(itertools.islice(jacobi_values(a, b, u), nmax + 1)), dtype=u.dtype)
 
 
 def gegenbauer_c(n, order, x):
@@ -167,26 +161,6 @@ def gegenbauer2d(n, k, nu, x, y):
     outer = gegenbauer_c(n - k, nu + k + 0.5, x)
     inner = gegenbauer_c(k, nu, y / s) if k > 0 else 1.0
     out = outer * s ** k * inner
-    return out if out.ndim else float(out)
-
-
-def _log_r_const(N, n):
-    """log of the R normalization N! n! / (n+N)!."""
-    return math.lgamma(N + 1) + math.lgamma(n + 1) - math.lgamma(n + N + 1)
-
-
-def t_basis(idx, x):
-    """Radial basis T^nu_{N,n}(x) = x^(N+1/2) R_{N,n}(x) on (0, 1].
-
-    Returns the continuous limit 0 at x = 0.  ``x`` may be an ndarray.
-    """
-    N, n, nu = idx.N, idx.n, idx.nu
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
-        raise ValueError("t_basis requires 0 <= x <= 1")
-    c = math.exp(_log_r_const(N, n))
-    rad = jacobi_sequence(n, N, nu, 1.0 - 2.0 * x * x)[n]
-    out = c * x ** (N + 0.5) * rad
     return out if out.ndim else float(out)
 
 

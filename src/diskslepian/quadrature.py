@@ -1,7 +1,7 @@
-"""Gaussian quadrature rules and the tensor polar rule for the disk weight.
+"""Gauss-Jacobi quadrature, its map to the radial weight, and the polar disk rule.
 
-All Gauss rules come from the Jacobi matrix of the weight's three-term
-recurrence (Golub-Welsch), without its eigenvectors:
+Every rule comes from the Jacobi matrix of the closed-form Jacobi recurrence
+(Golub-Welsch), without its eigenvectors:
 
 * nodes are the eigenvalues (``numpy.linalg.eigvalsh``), refined by one
   Newton step on p_n(x) = 0;
@@ -12,20 +12,15 @@ recurrence (Golub-Welsch), without its eigenvectors:
 * p_k and p_n' are evaluated in the orthonormal recurrence, which stays
   O(1) on the interval where the monic one underflows like 4^-n on (0,1).
 
-The radial weight (1-t^2)^nu on (0,1) is not a classical family (it is not
-symmetric on its interval), so its recurrence coefficients are computed with
-a discretized Stieltjes procedure run in extended precision:
+Every radial integral of the package has the form
 
-* auxiliary measure: a Gauss-Jacobi rule with weight (1-s)^nu on (-1,1),
-  mapped by t = (s+1)/2, absorbs the endpoint singularity at t=1 exactly;
-  the leftover factor ((3+s)/2)^nu is analytic on [-1,1], so the auxiliary
-  rule loses only a geometrically small (<< 1e-20) tail;
-* the Stieltjes recursion itself runs in ``numpy.longdouble``: the monic
-  polynomial norms decay like 16^-k and would leave the double range near
-  k ~ 250, well inside the rule sizes used here.
+    integral_0^1 t^(2 beta + 1) p(t^2) (1-t^2)^nu dt
 
-Raw Hankel-determinant/Chebyshev moment recursions were rejected: with the
-closed-form Beta moments they lose all significant digits beyond n ~ 20.
+(the Jacobi basis P_k^(N,nu)(1 - 2t^2), Hankel kernels and eigenfunctions
+all carry a power of t times a series in t^2).  Under u = 2t^2 - 1 it is
+2^(-nu-beta-2) integral_{-1}^1 p((1+u)/2) (1-u)^nu (1+u)^beta du, so the
+radial rule is the Gauss-Jacobi (nu, beta) rule mapped to t, exact for
+deg p <= 2n-1.
 
 Rules are cached and immutable; evaluation is pure.
 """
@@ -39,10 +34,7 @@ import numpy as np
 from .linalg import SymTridiagonal
 from .specfun import gamma_fn
 
-__all__ = ["QuadratureRule", "DiskRule", "gauss_legendre", "gauss_jacobi",
-           "radial_rule", "disk_rule"]
-
-_LD = np.longdouble
+__all__ = ["QuadratureRule", "DiskRule", "gauss_jacobi", "radial_rule", "disk_rule"]
 
 
 @dataclass(frozen=True)
@@ -52,7 +44,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     domain: tuple
-    weight_desc: str
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -103,22 +94,23 @@ def _orthonormal_sweep(x, alpha, sqrt_beta, mass):
         ds += p * dp
 
 
-def _golub_welsch(alpha, beta, mass, domain, desc):
-    """Gauss rule from monic recurrence coefficients alpha_k, beta_k (k>=1).
+def _golub_welsch(alpha, beta):
+    """Gauss rule on (-1,1) from monic recurrence coefficients alpha_k,
+    beta_k (k>=1) and the mass beta_0.
 
     The Newton step h is of the size of the eigensolver's roundoff, so the
     Christoffel sum is carried to the refined node to first order, s - h s',
     instead of being re-evaluated at that node rounded to double: next to a
     singular endpoint, as of (1-x)^nu with nu < 0, the sum varies on the
-    scale of 1 - x, and re-evaluation put 1e-12 into the mass of
-    radial_rule(240, -0.9).
+    scale of 1 - x, and re-evaluation puts 3.6e-13 into the mass of
+    gauss_jacobi(240, -0.9, 0) (4e-15 when carried).
     """
     alpha = np.asarray(alpha, dtype=float)
     sqrt_beta = np.sqrt(np.asarray(beta[1:len(alpha)], dtype=float))
     nodes = np.linalg.eigvalsh(SymTridiagonal(alpha, sqrt_beta).to_dense())
-    q, dq, s, ds = _orthonormal_sweep(nodes, alpha, sqrt_beta, mass)
+    q, dq, s, ds = _orthonormal_sweep(nodes, alpha, sqrt_beta, beta[0])
     h = q / dq
-    return QuadratureRule(nodes - h, 1.0 / (s - h * ds), domain, desc)
+    return QuadratureRule(nodes - h, 1.0 / (s - h * ds), (-1.0, 1.0))
 
 
 @lru_cache(maxsize=256)
@@ -142,15 +134,6 @@ def _jacobi_recurrence(n, a, b):
     return alpha, beta
 
 
-@lru_cache(maxsize=128)
-def gauss_legendre(n):
-    """n-point Gauss-Legendre rule on (-1,1); exact to degree 2n-1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    alpha, beta = _jacobi_recurrence(n, 0.0, 0.0)
-    return _golub_welsch(alpha, beta, beta[0], (-1.0, 1.0), "1")
-
-
 @lru_cache(maxsize=256)
 def gauss_jacobi(n, a, b):
     """n-point Gauss-Jacobi rule on (-1,1) for weight (1-u)^a (1+u)^b."""
@@ -158,50 +141,25 @@ def gauss_jacobi(n, a, b):
         raise ValueError("n must be >= 1")
     if a <= -1 or b <= -1:
         raise ValueError("Jacobi weight needs a > -1 and b > -1")
-    alpha, beta = _jacobi_recurrence(n, float(a), float(b))
-    return _golub_welsch(alpha, beta, beta[0], (-1.0, 1.0),
-                         f"(1-u)^{a}(1+u)^{b}")
-
-
-def _radial_recurrence(n, nu):
-    """Monic recurrence coefficients of the weight (1-t^2)^nu on (0,1)."""
-    m = n + 25
-    aux = gauss_jacobi(m, nu, 0.0)
-    s = np.asarray(aux.nodes, dtype=_LD)
-    t = (s + 1) / 2
-    w = np.asarray(aux.weights, dtype=_LD) * ((3 + s) / 2) ** _LD(nu) / _LD(2.0) ** _LD(nu + 1)
-    alpha = np.zeros(n, dtype=_LD)
-    beta = np.zeros(n, dtype=_LD)
-    p_prev = np.zeros_like(t)
-    p_cur = np.ones_like(t)
-    norm_prev = _LD(0.0)
-    for k in range(n):
-        norm_cur = np.dot(w, p_cur * p_cur)
-        alpha[k] = np.dot(w, t * p_cur * p_cur) / norm_cur
-        beta[k] = np.dot(w, np.ones_like(t)) if k == 0 else norm_cur / norm_prev
-        p_next = (t - alpha[k]) * p_cur - (beta[k] if k > 0 else 0) * p_prev
-        p_prev, p_cur = p_cur, p_next
-        norm_prev = norm_cur
-    return alpha.astype(float), beta.astype(float)
+    return _golub_welsch(*_jacobi_recurrence(n, float(a), float(b)))
 
 
 @lru_cache(maxsize=256)
-def radial_rule(n, nu):
-    """n-point Gauss rule on (0,1) for the weight (1-t^2)^nu, nu > -1.
+def radial_rule(n, nu, beta=0.0):
+    """n-point rule on (0,1) for the weight (1-t^2)^nu, nu > -1, beta > -1.
 
-    Exact (to roundoff) for polynomials of degree <= 2n-1 against the weight.
+    Exact (to roundoff) for t^(2 beta + 1) p(t^2) with p a polynomial of
+    degree <= 2n-1: the Gauss-Jacobi (nu, beta) rule mapped by
+    u = 2t^2 - 1, with weights 2^(-nu-beta-2) w_j / t_j^(2 beta + 1).
+    ``beta`` names the integrand class, not an accuracy knob.  Products of
+    T basis functions, Hankel kernels and eigenfunctions of integer order N
+    are t^(2N+1) p(t^2), which beta = 0 covers; the Hankel transform of
+    half-integer order a of t^(a+1/2) p(t^2) needs beta = a.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if nu <= -1:
-        raise ValueError("radial weight needs nu > -1")
-    alpha, beta = _radial_recurrence(n, float(nu))
-    return _golub_welsch(alpha, beta, beta[0], (0.0, 1.0), f"(1-t^2)^{nu}")
-
-
-def radial_mass(nu):
-    """Closed-form total mass of (1-t^2)^nu on (0,1): a Beta integral."""
-    return math.sqrt(math.pi) * gamma_fn(nu + 1) / (2 * gamma_fn(nu + 1.5))
+    jac = gauss_jacobi(n, nu, beta)
+    t = np.sqrt((1 + jac.nodes) / 2)
+    return QuadratureRule(t, 2.0 ** (-nu - beta - 2) * jac.weights / t ** (2 * beta + 1),
+                          (0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -228,19 +186,14 @@ class DiskRule:
         """Integrate f(x, y) (vectorized) against w_nu over the unit disk."""
         return complex(np.sum(self.weights * f(self.xs, self.ys)))
 
-    def integrate_polar(self, g):
-        """Integrate g(r, theta) (vectorized) against w_nu over the disk."""
-        return complex(np.sum(self.weights * g(self.rs, self.angles)))
-
-    def integrate_values(self, vals):
-        return complex(np.sum(self.weights * vals))
-
 
 @lru_cache(maxsize=64)
 def disk_rule(n_r, n_theta, nu):
     """Polar tensor rule: n_r radial Gauss points x n_theta uniform angles."""
     if n_r < 1 or n_theta < 1:
         raise ValueError("rule sizes must be >= 1")
+    # after the angular sum a polynomial in (x, y) is one in r^2, and the
+    # measure r dr makes the radial integrand r p(r^2): the beta = 0 class
     rad = radial_rule(n_r, nu)
     thetas = 2 * np.pi * np.arange(n_theta) / n_theta
     rs, angles = np.meshgrid(rad.nodes, thetas, indexing="ij")

@@ -40,11 +40,12 @@ raises ConvergenceError.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .linalg import ConvergenceError, SymTridiagonal, symtri_eigen
-from .orthopoly import TBasisIndex, t_norm_sq, x2_recurrence_coeffs
+from .orthopoly import TBasisIndex, jacobi_values, t_norm_sq, x2_recurrence_coeffs
 
 __all__ = ["SlepianParams", "RadialMode", "chi0", "build_spectral_matrix",
            "solve_modes", "eval_phi", "eval_R", "eval_psi", "TruncationError"]
@@ -113,10 +114,20 @@ def chi0(N, n, nu):
     return (N + 2 * n + 0.5) * (N + 2 * nu + 2 * n + 1.5)
 
 
-def _log_norm_const(N, k, nu):
-    """log of c-hat_k = (N! k!/(k+N)!) / sqrt(h_{N,k})."""
+@lru_cache(maxsize=64)
+def _basis_norms(N, nu, K):
+    """Read-only h_{N,k} = t_norm_sq for k < K.  The matrix build, the mu
+    closed form and the eigenfunction evaluation at one truncation K all
+    read this one array."""
+    h = np.array([t_norm_sq(TBasisIndex(N, k, nu)) for k in range(K)])
+    h.setflags(write=False)
+    return h
+
+
+def _log_norm_const(N, k, h_k):
+    """log of c-hat_k = (N! k!/(k+N)!) / sqrt(h_k)."""
     log_c = math.lgamma(N + 1) + math.lgamma(k + 1) - math.lgamma(k + N + 1)
-    return log_c - 0.5 * math.log(t_norm_sq(TBasisIndex(N, k, nu)))
+    return log_c - 0.5 * math.log(h_k)
 
 
 def build_spectral_matrix(params, K):
@@ -133,7 +144,7 @@ def build_spectral_matrix(params, K):
     c2 = c * c
     diag = np.empty(K)
     off = np.empty(K - 1)
-    h = np.array([t_norm_sq(TBasisIndex(N, k, nu)) for k in range(K + 1)])
+    h = _basis_norms(N, nu, K)
     for k in range(K):
         a, b, _ = x2_recurrence_coeffs(TBasisIndex(N, k, nu))
         diag[k] = chi0(N, k, nu) + c2 * b
@@ -184,7 +195,7 @@ def _mu_values(params, T, pairs):
         if N == 0:
             mus[0] = 0.5 / (nu + 1)
         return mus
-    inv_sqrt_h = np.array([t_norm_sq(TBasisIndex(N, k, nu)) for k in range(T.dim)]) ** -0.5
+    inv_sqrt_h = _basis_norms(N, nu, T.dim) ** -0.5
     log_pref = (N * math.log(c) + math.lgamma(nu + 1) - (N + 1) * math.log(2.0)
                 - math.lgamma(N + nu + 2) + math.log(inv_sqrt_h[0]))
     vecs = np.array([p.vector for p in pairs])
@@ -193,6 +204,13 @@ def _mu_values(params, T, pairs):
 
 def solve_modes(params, num_modes):
     """First ``num_modes`` radial modes, ordered by ascending chi.
+
+    Mode n is the n-th eigenvalue chi of Lambda, not the n-th largest |mu|.
+    The two orders agree for nu >= 0; for nu in (-1, 0) |mu| can grow with
+    n over the first modes, so at larger c the first modes by chi are not
+    the most concentrated ones (at nu = -0.5, c = 40, N = 0 |mu| rises
+    from mode 0 to mode 12, and the top 12 |mu| exceed the first 12 by chi
+    by up to 25%).
 
     The truncation K starts at max(2*num_modes, ceil(c/4) + num_modes) + 30,
     which covers the coefficient support of the modes asked for (the last
@@ -244,22 +262,14 @@ def _eval_sum(mode, params, x, radial_power):
     nu, N = params.nu, params.N
     x = np.asarray(x, dtype=float)
     K = len(mode.coeffs)
-    u = 1 - 2 * x * x
-    scale = np.array([math.exp(_log_norm_const(N, k, nu)) for k in range(K)])
-    coeff = mode.coeffs * scale
-    # forward accumulation over the Jacobi recurrence
-    prev = np.ones_like(u)
-    acc = coeff[0] * prev
-    if K > 1:
-        cur = (N + 1) + (N + nu + 2) * (u - 1) / 2
-        acc = acc + coeff[1] * cur
-        for n in range(1, K - 1):
-            c1 = 2 * (n + 1) * (n + N + nu + 1) * (2 * n + N + nu)
-            c2 = (2 * n + N + nu + 1) * (N * N - nu * nu)
-            c3 = (2 * n + N + nu) * (2 * n + N + nu + 1) * (2 * n + N + nu + 2)
-            c4 = 2 * (n + N) * (n + nu) * (2 * n + N + nu + 2)
-            prev, cur = cur, ((c2 + c3 * u) * cur - c4 * prev) / c1
-            acc = acc + coeff[n + 1] * cur
+    h = _basis_norms(N, nu, K)
+    scale = np.array([math.exp(_log_norm_const(N, k, h[k])) for k in range(K)])
+    # forward accumulation, one Jacobi term at a time
+    terms = zip(mode.coeffs * scale, jacobi_values(N, nu, 1 - 2 * x * x))
+    coeff, p = next(terms)
+    acc = coeff * p
+    for coeff, p in terms:
+        acc = acc + coeff * p
     return x ** radial_power * acc
 
 

@@ -92,7 +92,7 @@ def suite_lemma1(quick=False):
     """Finite Hankel transform of the Jacobi basis: quadrature vs closed form."""
     checks = []
     for (a, b), cases in itertools.groupby(lemma1_grid(quick), key=lambda g: g[:2]):
-        rule = radial_rule(240, b)
+        rule = radial_rule(240, b, beta=a)
         for _, _, n, xs, rhs in cases:
             kept = np.abs(rhs) >= LEMMA1_FLOOR
             f = lambda t: t ** (a + 0.5) * jacobi_sequence(n, a, b, 1 - 2 * t * t)[n]

@@ -3,10 +3,19 @@
 Everything here recomputes expected values from first principles: extended
 precision series (mpmath), finite hypergeometric sums, adaptive Simpson
 quadrature, Sturm-sequence bisection for tridiagonal spectra, and an
-extended-precision eigensolve of the radial spectral matrix.
+extended-precision eigensolve of the radial spectral matrix.  It also holds
+two reference implementations that the library does not use: the radial
+basis function T_{N,n} (``t_basis``) and the classical prolate operator
+(``apply_L_classical``), a separate code path for the weight-zero
+reduction of ``operators.apply_L``.
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
+
+from diskslepian.orthopoly import jacobi_sequence
 
 mp.mp.dps = 40
 
@@ -161,3 +170,45 @@ def slepian_mu_mp(nu, c, N, K, count, dps=80):
             tip = sum(Q[k, j] / mp.sqrt(h(k)) for k in range(K))
             out.append(float(pref * Q[0, j] / tip))
         return out
+
+
+def _log_r_const(N, n):
+    """log of the R normalization N! n! / (n+N)!."""
+    return math.lgamma(N + 1) + math.lgamma(n + 1) - math.lgamma(n + N + 1)
+
+
+def t_basis(idx, x):
+    """Radial basis T^nu_{N,n}(x) = x^(N+1/2) R_{N,n}(x) on (0, 1].
+
+    Returns the continuous limit 0 at x = 0.  ``x`` may be an ndarray.
+    """
+    N, n, nu = idx.N, idx.n, idx.nu
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0) or np.any(x > 1):
+        raise ValueError("t_basis requires 0 <= x <= 1")
+    c = math.exp(_log_r_const(N, n))
+    rad = jacobi_sequence(n, N, nu, 1.0 - 2.0 * x * x)[n]
+    out = c * x ** (N + 0.5) * rad
+    return out if out.ndim else float(out)
+
+
+def _L_classical_once(c, N, f, x, h):
+    fm2, fm1, f0, fp1, fp2 = (f(x - 2 * h), f(x - h), f(x), f(x + h), f(x + 2 * h))
+    d1 = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h)
+    d2 = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
+    return (1 - x * x) * d2 - 2 * x * d1 + ((0.25 - N * N) / (x * x) - c * c * x * x) * f0
+
+
+def apply_L_classical(c, N, f, x, h=1e-4):
+    """The classical (unweighted) prolate operator
+
+        (1-t^2) y'' - 2 t y' + ((1/4 - N^2)/t^2 - c^2 t^2) y
+
+    kept as its own code path so the weight-zero reduction of apply_L can be
+    regression-tested against it.
+    """
+    if not (2 * h < x < 1 - 2 * h):
+        raise ValueError(f"stencil of width {h} out of domain at x={x}")
+    coarse = _L_classical_once(c, N, f, x, h)
+    fine = _L_classical_once(c, N, f, x, h / 2)
+    return (16 * fine - coarse) / 15

@@ -149,7 +149,7 @@ def test_criterion_10_classical_reduction():
         for N in (0, 1, 3):
             for x in (0.15, 0.4, 0.6, 0.85):
                 a = ops.apply_L(0.0, c, N, f, x)
-                b = ops.apply_L_classical(c, N, f, x)
+                b = oracles.apply_L_classical(c, N, f, x)
                 worst_fd = max(worst_fd, abs(a - b) / max(1.0, abs(b)))
     lam = sl.solve_modes(SlepianParams(nu=0.0, c=1e-3, N=0), 1)[0].lam
     worst = max(worst_fd / 1e-8, abs(lam - 1.0) / 1e-4) * 1e-8

@@ -4,23 +4,27 @@ import numpy as np
 import pytest
 
 from diskslepian import orthopoly as op
-from diskslepian.orthopoly import JacobiIndex, TBasisIndex
+from diskslepian.orthopoly import TBasisIndex
 from diskslepian.quadrature import disk_rule, radial_rule
 
 import oracles
 
 
+def jacobi_p(n, a, b, x):
+    return float(op.jacobi_sequence(n, a, b, x)[n])
+
+
 class TestJacobi:
     def test_degree_zero(self):
         for (a, b, x) in [(0.0, 0.0, -0.3), (2.5, 0.5, 1.0), (1.0, 1.0, 0.0)]:
-            assert op.jacobi_p(JacobiIndex(0, a, b), x) == 1.0
+            assert jacobi_p(0, a, b, x) == 1.0
 
     def test_value_at_one(self):
         # P_n^{(a,b)}(1) = binom(a+n, n); here n=2, a=b=0 gives 1
-        assert op.jacobi_p(JacobiIndex(2, 0.0, 0.0), 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert jacobi_p(2, 0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_against_hypergeometric_sum(self):
-        assert op.jacobi_p(JacobiIndex(3, 1.5, 0.5), 0.3) == pytest.approx(
+        assert jacobi_p(3, 1.5, 0.5, 0.3) == pytest.approx(
             float(oracles.jacobi_2f1_mp(3, 1.5, 0.5, 0.3)), abs=1e-14)
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (1.5, 0.5), (2.5, 2.5), (0.3, 1.7)])
@@ -28,14 +32,8 @@ class TestJacobi:
         for n in range(11):
             for x in (-0.9, -0.2, 0.4, 0.95):
                 ref = float(oracles.jacobi_2f1_mp(n, a, b, x))
-                assert op.jacobi_p(JacobiIndex(n, a, b), x) == pytest.approx(
+                assert jacobi_p(n, a, b, x) == pytest.approx(
                     ref, rel=1e-11, abs=1e-11)
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            JacobiIndex(-1, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            JacobiIndex(2, -1.0, 0.0)
 
 
 class TestGegenbauer:
@@ -179,12 +177,12 @@ def _printed_h_norm(nu, n, k):
 
 class TestTBasis:
     def test_low_cases(self):
-        assert op.t_basis(TBasisIndex(0, 0, 0.3), 0.49) == pytest.approx(0.7, abs=1e-15)
-        assert op.t_basis(TBasisIndex(1, 0, 1.0), 0.36) == pytest.approx(0.36 ** 1.5, abs=1e-15)
+        assert oracles.t_basis(TBasisIndex(0, 0, 0.3), 0.49) == pytest.approx(0.7, abs=1e-15)
+        assert oracles.t_basis(TBasisIndex(1, 0, 1.0), 0.36) == pytest.approx(0.36 ** 1.5, abs=1e-15)
         x = 0.5
-        assert op.t_basis(TBasisIndex(0, 1, 0.0), x) == pytest.approx(
+        assert oracles.t_basis(TBasisIndex(0, 1, 0.0), x) == pytest.approx(
             math.sqrt(x) * (1 - 2 * x * x), abs=1e-15)
-        assert op.t_basis(TBasisIndex(2, 3, 0.5), 0.0) == 0.0
+        assert oracles.t_basis(TBasisIndex(2, 3, 0.5), 0.0) == 0.0
 
     def test_norm_closed_values(self):
         assert op.t_norm_sq(TBasisIndex(0, 0, 0.0)) == pytest.approx(0.5, rel=1e-14)
@@ -194,14 +192,14 @@ class TestTBasis:
     def test_norm_vs_quadrature(self, N, n, nu):
         rule = radial_rule(140, nu)
         idx = TBasisIndex(N, n, nu)
-        quad = rule.integrate(op.t_basis(idx, rule.nodes) ** 2)
+        quad = rule.integrate(oracles.t_basis(idx, rule.nodes) ** 2)
         assert op.t_norm_sq(idx) == pytest.approx(quad, rel=1e-12)
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5])
     @pytest.mark.parametrize("N", [0, 3, 8])
     def test_orthogonality(self, nu, N):
         rule = radial_rule(160, nu)
-        vals = np.array([op.t_basis(TBasisIndex(N, n, nu), rule.nodes) for n in range(9)])
+        vals = np.array([oracles.t_basis(TBasisIndex(N, n, nu), rule.nodes) for n in range(9)])
         gram = (vals * rule.weights) @ vals.T
         expect = np.diag([op.t_norm_sq(TBasisIndex(N, n, nu)) for n in range(9)])
         assert np.max(np.abs(gram - expect)) <= 1e-10
@@ -227,11 +225,11 @@ class TestX2Recurrence:
         idx = TBasisIndex(N, n, nu)
         a, b, c = op.x2_recurrence_coeffs(idx)
         xs = np.linspace(0.02, 0.99, 17)
-        lhs = xs ** 2 * op.t_basis(idx, xs)
-        rhs = (a * op.t_basis(TBasisIndex(N, n + 1, nu), xs)
-               + b * op.t_basis(idx, xs))
+        lhs = xs ** 2 * oracles.t_basis(idx, xs)
+        rhs = (a * oracles.t_basis(TBasisIndex(N, n + 1, nu), xs)
+               + b * oracles.t_basis(idx, xs))
         if n > 0:
-            rhs = rhs + c * op.t_basis(TBasisIndex(N, n - 1, nu), xs)
+            rhs = rhs + c * oracles.t_basis(TBasisIndex(N, n - 1, nu), xs)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
     @pytest.mark.parametrize("N,n,nu", [(0, 0, 0.0), (2, 3, 1.0), (1, 5, 2.5),

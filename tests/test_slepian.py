@@ -7,7 +7,7 @@ import pytest
 
 from diskslepian import operators as ops
 from diskslepian import slepian as sl
-from diskslepian.orthopoly import TBasisIndex, t_basis, t_norm_sq
+from diskslepian.orthopoly import TBasisIndex, jacobi_sequence, t_norm_sq
 from diskslepian.quadrature import disk_rule, radial_rule
 from diskslepian.slepian import RadialMode, SlepianParams, TruncationError
 
@@ -142,8 +142,24 @@ class TestEvaluation:
         xs = np.linspace(0.05, 1.0, 9)
         for m in modes:
             idx = TBasisIndex(1, m.n, 0.5)
-            that = t_basis(idx, xs) / math.sqrt(t_norm_sq(idx))
+            that = oracles.t_basis(idx, xs) / math.sqrt(t_norm_sq(idx))
             assert np.max(np.abs(sl.eval_phi(m, p, xs) - that)) <= 1e-12
+
+    def test_phi_matches_stacked_jacobi_sum_bitwise(self):
+        # eval_phi accumulates the Jacobi terms one at a time; the same sum
+        # over the stacked recurrence, in the same order, is the reference
+        p = SlepianParams(nu=-0.5, c=7.0, N=2)
+        m = sl.solve_modes(p, 3)[2]
+        xs = np.linspace(0.05, 1.0, 7)
+        K = len(m.coeffs)
+        P = jacobi_sequence(K - 1, 2, -0.5, 1 - 2 * xs * xs)
+        acc = None
+        for k in range(K):
+            idx = TBasisIndex(2, k, -0.5)
+            log_c = math.lgamma(3) + math.lgamma(k + 1) - math.lgamma(k + 3)
+            term = m.coeffs[k] * math.exp(log_c - 0.5 * math.log(t_norm_sq(idx))) * P[k]
+            acc = term if acc is None else acc + term
+        assert np.array_equal(sl.eval_phi(m, p, xs), xs ** 2.5 * acc)
 
     def test_phi_normalized(self):
         p = SlepianParams(nu=1.0, c=2.0, N=1)
@@ -249,7 +265,8 @@ class TestLargeBandwidth:
     the two methods may order nearly equal magnitudes differently."""
 
     @pytest.mark.parametrize("nu,c,N", [(0.0, 20.0, 0), (2.5, 20.0, 3),
-                                        (1.0, 40.0, 1), (0.0, 40.0, 2)])
+                                        (1.0, 40.0, 1), (0.0, 40.0, 2),
+                                        (-0.5, 20.0, 0), (-0.9, 20.0, 1)])
     def test_against_double_double_nystrom(self, nu, c, N):
         modes = sl.solve_modes(SlepianParams(nu, c, N), 12)
         ref = np.sort([abs(q.value) for q in ops.nystrom_hankel_eigs(nu, c, N, 300, 12)])

@@ -7,7 +7,7 @@ import pytest
 from diskslepian import transforms as tr
 from diskslepian.orthopoly import disk_poly, gegenbauer2d, gegenbauer_c, jacobi_sequence
 from diskslepian import operators as ops
-from diskslepian.quadrature import disk_rule, gauss_legendre, radial_rule
+from diskslepian.quadrature import disk_rule, gauss_jacobi, radial_rule
 from diskslepian.specfun import bessel_j, gamma_fn, j_script, j_small
 from diskslepian.verification import quadrature_constant
 
@@ -186,7 +186,7 @@ class TestWatsonIntegrals:
         # integral_0^pi e^{iz cos t} C_n^lam(cos t) sin^(2 lam) t dt is
         # proportional to i^n J_{lam+n}(z)/z^lam; verified constant-free by a
         # two-point ratio
-        gl = gauss_legendre(220)
+        gl = gauss_jacobi(220, 0.0, 0.0)
         t = 0.5 * math.pi * (gl.nodes + 1)
         w = 0.5 * math.pi * gl.weights
         for (n, lam) in [(2, 1.0), (3, 1.5), (1, 2.5)]:
@@ -204,7 +204,7 @@ class TestWatsonIntegrals:
         # integral_0^pi [J_{mu-1/2}(z sin t sin v)/(z sin t sin v)^(mu-1/2)]
         #   e^{iz cos t cos v} C_j^mu(cos t) sin^(2 mu) t dt
         # = sqrt(2 pi) i^j J_{mu+j}(z)/z^mu C_j^mu(cos v)
-        gl = gauss_legendre(260)
+        gl = gauss_jacobi(260, 0.0, 0.0)
         t = 0.5 * math.pi * (gl.nodes + 1)
         w = 0.5 * math.pi * gl.weights
         mu, j, v = 2.0, 2, 0.8
