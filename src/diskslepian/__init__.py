@@ -14,7 +14,7 @@ and two-variable Gegenbauer polynomials.
 
 __version__ = "0.1.0"
 
-from .linalg import EigenPair, SymTridiagonal, dense_sym_eigen, symtri_eigen
+from .linalg import EigenPair, Eigenpairs, SymTridiagonal, dense_sym_eigen, symtri_eigen
 from .operators import (apply_adjoint_fourier, apply_finite_hankel, apply_L,
                         apply_weighted_fourier, kernel_K, nystrom_hankel_eigs)
 from .orthopoly import (TBasisIndex, disk_poly, disk_poly_norm, gegenbauer2d,
@@ -27,7 +27,7 @@ from .transforms import (ClosedFormResult, disk_transform_closed,
                          gegenbauer2d_transform_closed, lemma1_rhs)
 
 __all__ = [
-    "EigenPair", "SymTridiagonal", "dense_sym_eigen", "symtri_eigen",
+    "EigenPair", "Eigenpairs", "SymTridiagonal", "dense_sym_eigen", "symtri_eigen",
     "apply_adjoint_fourier", "apply_finite_hankel", "apply_L",
     "apply_weighted_fourier", "kernel_K", "nystrom_hankel_eigs",
     "TBasisIndex", "disk_poly", "disk_poly_norm", "gegenbauer2d",

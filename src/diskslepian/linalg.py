@@ -8,10 +8,13 @@ runtime a scipy import.  The value added here is the ordering, sign and
 residual conventions that the rest of the package relies on:
 
 * ``symtri_eigen``  -- eigenvalues ascending (Sturm-Liouville convention),
+  returned as arrays: an ``Eigenpairs`` of the (count,) values and a
+  read-only (count, K) array whose rows are the eigenvectors,
 * ``dense_sym_eigen`` -- eigenvalues by descending magnitude (integral-operator
-  convention),
+  convention), returned as a list of ``EigenPair``,
 * deterministic eigenvector sign: the component of largest magnitude is made
-  positive,
+  positive; each vector is scaled to unit norm by sqrt(v . v), as
+  ``numpy.linalg.norm`` computes it,
 * per-pair residual ||T v - lambda v|| <= 1e-11 ||T||, eigenvectors mutually
   orthogonal to 1e-10 (checked by the test suite, not at runtime).
 """
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SymTridiagonal", "EigenPair", "symtri_eigen", "dense_sym_eigen",
-           "ConvergenceError", "AsymmetryError"]
+__all__ = ["SymTridiagonal", "EigenPair", "Eigenpairs", "symtri_eigen",
+           "dense_sym_eigen", "ConvergenceError", "AsymmetryError"]
 
 
 class ConvergenceError(RuntimeError):
@@ -86,32 +89,42 @@ class EigenPair:
     vector: np.ndarray
 
 
-def _fix_sign(v):
-    i = int(np.argmax(np.abs(v)))
-    return -v if v[i] < 0 else v
+@dataclass(frozen=True)
+class Eigenpairs:
+    """``count`` eigenpairs as arrays: values (count,) and the unit
+    eigenvectors as the rows of vectors (count, K).  len() is count."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def __len__(self):
+        return len(self.values)
 
 
-def _eigen_pairs(A, count, by_magnitude=False):
-    """First ``count`` eigenpairs of symmetric A: values ascending, or by
-    descending magnitude."""
+def _eigen_rows(A, count, by_magnitude=False):
+    """First ``count`` eigenpairs of symmetric A, values ascending or by
+    descending magnitude: (values, C-contiguous rows of sign-fixed unit
+    vectors)."""
     if count < 1 or count > len(A):
         raise ValueError(f"count must be in [1, {len(A)}], got {count}")
     try:
         vals, vecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(-np.abs(vals), kind="stable") if by_magnitude else range(len(A))
-    pairs = []
-    for j in order[:count]:
-        v = _fix_sign(vecs[:, j].copy())
-        v /= np.linalg.norm(v)
-        pairs.append(EigenPair(float(vals[j]), v))
-    return pairs
+    order = np.argsort(-np.abs(vals), kind="stable")[:count] if by_magnitude else slice(count)
+    rows = vecs[:, order].T.copy()
+    peak = np.argmax(np.abs(rows), axis=1)
+    rows[rows[np.arange(count), peak] < 0] *= -1.0
+    rows /= np.sqrt([v.dot(v) for v in rows])[:, None]
+    return vals[order], rows
 
 
 def symtri_eigen(T, count):
     """Lowest ``count`` eigenpairs of a SymTridiagonal, values ascending."""
-    return _eigen_pairs(T.to_dense(), count)
+    vals, rows = _eigen_rows(T.to_dense(), count)
+    vals.setflags(write=False)
+    rows.setflags(write=False)
+    return Eigenpairs(vals, rows)
 
 
 def dense_sym_eigen(A, count, sym_tol=1e-12):
@@ -122,4 +135,5 @@ def dense_sym_eigen(A, count, sym_tol=1e-12):
     scale = np.max(np.abs(A))
     if scale > 0 and np.max(np.abs(A - A.T)) > sym_tol * scale:
         raise AsymmetryError("matrix is not symmetric to relative 1e-12")
-    return _eigen_pairs(0.5 * (A + A.T), count, by_magnitude=True)
+    vals, rows = _eigen_rows(0.5 * (A + A.T), count, by_magnitude=True)
+    return [EigenPair(float(v), row) for v, row in zip(vals, rows)]

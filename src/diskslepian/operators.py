@@ -43,10 +43,17 @@ def apply_finite_hankel(nu, c, N, f, x, rule):
     z^(N+1/2) times a power series in z^2, so for f(t) = t^(N+1/2) q(t^2)
     the integrand is t^(2N+1) times a series in t^2, which
     radial_rule(n, nu, beta=N) integrates exactly up to the series terms of
-    degree >= 2n in t^2; for integer N, beta = 0 covers the same class.
-    x is a scalar (float result) or an ndarray (array result of its shape),
-    with 0 < x and c * x <= 12.  f is called once, on the longdouble nodes.
+    degree >= 2n in t^2; beta = N - j for an integer j >= 0 covers the same
+    class (for integer N, beta = 0 does).  Any other rule.beta raises
+    ValueError: the quadrature would be wrong without a warning (by 13% at
+    N = 0.5 on beta = 0).  x is a scalar (float result) or an ndarray (array
+    result of its shape), with 0 < x and c * x <= 12.  f is called once, on
+    the longdouble nodes.
     """
+    beta = rule.beta
+    if beta is None or N < beta or not float(N - beta).is_integer():
+        raise ValueError(f"a radial rule with beta={beta} does not integrate the "
+                         f"order-{N} Hankel transform; use radial_rule(n, nu, beta=N)")
     x = np.asarray(x, dtype=_LD)
     if np.any(x <= 0):
         raise ValueError("apply_finite_hankel requires x > 0")

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TBasisIndex", "jacobi_values", "jacobi_sequence", "gegenbauer_c",
-           "disk_poly", "disk_poly_norm", "gegenbauer2d", "t_norm_sq",
-           "x2_recurrence_coeffs"]
+__all__ = ["TBasisIndex", "jacobi_values", "jacobi_term", "jacobi_sequence",
+           "gegenbauer_c", "disk_poly", "disk_poly_norm", "gegenbauer2d",
+           "t_norm_sq", "x2_recurrence_coeffs"]
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,14 @@ def jacobi_values(a, b, u):
         c4 = 2 * (n + a) * (n + b) * (2 * n + a + b + 2)
         prev, cur = cur, ((c2 + c3 * u) * cur - c4 * prev) / c1
         n += 1
+
+
+def jacobi_term(n, a, b, u):
+    """P_n^{(a,b)}(u) alone: ``jacobi_values`` run up to degree n, holding
+    two terms at a time.  Equal, bitwise, to ``jacobi_sequence(n, a, b, u)[n]``.
+    """
+    u = np.asarray(u, dtype=np.result_type(u, float))
+    return next(itertools.islice(jacobi_values(a, b, u), n, None))
 
 
 def jacobi_sequence(nmax, a, b, u):
@@ -130,7 +138,7 @@ def disk_poly(n, m, nu, r, theta):
     q = min(n, m)
     p = abs(n - m)
     pref = (-1.0) ** q * math.exp(_pochhammer_ratio_log(q, nu))
-    rad = jacobi_sequence(q, p, nu, 1.0 - 2.0 * r ** 2)[q]
+    rad = jacobi_term(q, p, nu, 1.0 - 2.0 * r ** 2)
     out = pref * r ** p * np.exp(1j * (n - m) * theta) * rad
     return out if out.ndim else complex(out)
 

@@ -39,11 +39,16 @@ __all__ = ["QuadratureRule", "DiskRule", "gauss_jacobi", "radial_rule", "disk_ru
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights for a weighted 1D integral on ``domain``."""
+    """Nodes/weights for a weighted 1D integral on ``domain``.
+
+    A radial rule records the ``beta`` of its integrand class
+    t^(2 beta + 1) p(t^2); a rule on (-1, 1) has beta None.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     domain: tuple
+    beta: float | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -159,7 +164,7 @@ def radial_rule(n, nu, beta=0.0):
     jac = gauss_jacobi(n, nu, beta)
     t = np.sqrt((1 + jac.nodes) / 2)
     return QuadratureRule(t, 2.0 ** (-nu - beta - 2) * jac.weights / t ** (2 * beta + 1),
-                          (0.0, 1.0))
+                          (0.0, 1.0), float(beta))
 
 
 @dataclass(frozen=True)

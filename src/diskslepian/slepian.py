@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import ConvergenceError, SymTridiagonal, symtri_eigen
-from .orthopoly import TBasisIndex, jacobi_values, t_norm_sq, x2_recurrence_coeffs
+from .orthopoly import TBasisIndex, jacobi_values, t_norm_sq
 
 __all__ = ["SlepianParams", "RadialMode", "chi0", "build_spectral_matrix",
            "solve_modes", "eval_phi", "eval_R", "eval_psi", "TruncationError"]
@@ -98,7 +98,7 @@ class RadialMode:
     chi is the Sturm-Liouville eigenvalue of Lambda = -L; mu the integral
     eigenvalue of the radial kernel equation; lam = 2 (nu+1) i^N mu the 2D
     transform eigenvalue; coeffs the unit expansion vector in the
-    orthonormalized T basis.
+    orthonormalized T basis, a read-only row of the solve's eigenvectors.
     """
 
     n: int
@@ -135,21 +135,26 @@ def build_spectral_matrix(params, K):
 
     Diagonal d_k = chi0(N,k,nu) + c^2 b_k, off-diagonal
     e_k = c^2 a_k sqrt(h_{k+1}/h_k); symmetry is the self-adjointness
-    identity a_k h_{k+1} = c_{k+1} h_k of the x^2 recurrence.  Raises
+    identity a_k h_{k+1} = c_{k+1} h_k of the x^2 recurrence.  a_k and b_k
+    are the expressions of ``x2_recurrence_coeffs`` evaluated over
+    k = 0..K-1 at once, with its k = 0 branch for b_0.  Raises
     ConvergenceError when an entry is not finite.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
     nu, c, N = params.nu, params.c, params.N
     c2 = c * c
-    diag = np.empty(K)
-    off = np.empty(K - 1)
+    k = np.arange(K)
     h = _basis_norms(N, nu, K)
-    for k in range(K):
-        a, b, _ = x2_recurrence_coeffs(TBasisIndex(N, k, nu))
-        diag[k] = chi0(N, k, nu) + c2 * b
-        if k < K - 1:
-            off[k] = c2 * a * math.sqrt(h[k + 1] / h[k])
+    # a non-finite entry is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 2 * k + N + nu
+        a = -(k[:-1] + N + 1) * (k[:-1] + N + nu + 1) / ((s[:-1] + 1) * (s[:-1] + 2))
+        b_jac = np.empty(K)
+        b_jac[0] = (nu - N) / (N + nu + 2)
+        b_jac[1:] = (nu * nu - N * N) / (s[1:] * (s[1:] + 2))
+        diag = chi0(N, k, nu) + c2 * (0.5 * (1.0 - b_jac))
+        off = c2 * a * np.sqrt(h[1:] / h[:-1])
     try:
         return SymTridiagonal(diag, off)
     except ValueError as exc:  # entries not finite, e.g. nu >~ 1e154
@@ -157,49 +162,55 @@ def build_spectral_matrix(params, K):
             f"spectral matrix entries overflow at nu={nu}, c={c}, N={N}") from exc
 
 
-def _tails_ok(pairs, tolerance):
-    for p in pairs:
-        v = np.abs(p.vector)
-        if v[-1] > tolerance * np.max(v):
-            return False
-    return True
+def _tails_ok(vecs, tolerance):
+    """No row of vecs has a last entry above tolerance times its largest."""
+    v = np.abs(vecs)
+    return not np.any(v[:, -1] > tolerance * np.max(v, axis=1))
 
 
-def _leading_coeffs(T, pairs, vecs):
-    """A_0 of each eigenpair, from its peak coefficient A_m.
+def _leading_coeffs(T, chi, vecs):
+    """A_0 of each eigenpair (values chi, vectors the rows of vecs), from
+    its peak coefficient A_m.
 
     Rows 0..m-1 of (T - chi) A = 0 give the ratios r_k = A_k / A_{k+1} by
     the continued fraction r_k = -e_k / (d_k - chi + e_{k-1} r_{k-1}), so
     A_0 = A_m r_0 ... r_{m-1}.  This keeps full relative accuracy where A_0
     is far below the eigenvector's roundoff level (small c, high n), which
-    the LAPACK component does not.
+    the LAPACK component does not.  The fraction runs in Python floats, one
+    mode at a time: m is a few dozen, where a numpy call per step costs
+    more than the arithmetic.
     """
-    d, e = T.diag, T.offdiag
-    chi = np.array([p.value for p in pairs])
     peak = np.argmax(np.abs(vecs), axis=1)
-    prod = np.ones(len(pairs))
-    r = np.zeros(len(pairs))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(int(peak.max(initial=0))):
-            r = -e[k] / (d[k] - chi + (e[k - 1] * r if k else 0.0))
-            prod = np.where(k < peak, prod * r, prod)
-    return vecs[np.arange(len(pairs)), peak] * prod
+    d, e = T.diag.tolist(), T.offdiag.tolist()
+    prods = []
+    for x, m in zip(chi.tolist(), peak.tolist()):
+        prod, r = 1.0, 0.0
+        try:
+            for k in range(m):
+                r = -e[k] / (d[k] - x + (e[k - 1] * r if k else 0.0))
+                prod *= r
+        except ZeroDivisionError:  # an exact zero pivot: mu is refused as NaN
+            prod = math.nan
+        prods.append(prod)
+    return vecs[np.arange(len(prods)), peak] * np.array(prods)
 
 
-def _mu_values(params, T, pairs):
-    """mu of each eigenpair by the closed form of the module docstring."""
+def _mu_values(params, T, eig):
+    """mu of each eigenpair of ``eig`` (an ``Eigenpairs``) by the closed
+    form of the module docstring."""
     nu, c, N = params.nu, params.c, params.N
     if c == 0:
         # T is diagonal, A = e_n: mu = 1/(2 (nu+1)) for N = n = 0, else 0
-        mus = np.zeros(len(pairs))
+        mus = np.zeros(len(eig))
         if N == 0:
             mus[0] = 0.5 / (nu + 1)
         return mus
     inv_sqrt_h = _basis_norms(N, nu, T.dim) ** -0.5
     log_pref = (N * math.log(c) + math.lgamma(nu + 1) - (N + 1) * math.log(2.0)
                 - math.lgamma(N + nu + 2) + math.log(inv_sqrt_h[0]))
-    vecs = np.array([p.vector for p in pairs])
-    return math.exp(log_pref) * _leading_coeffs(T, pairs, vecs) / (vecs @ inv_sqrt_h)
+    vecs = eig.vectors
+    return (math.exp(log_pref) * _leading_coeffs(T, eig.values, vecs)
+            / (vecs @ inv_sqrt_h))
 
 
 def solve_modes(params, num_modes):
@@ -212,27 +223,32 @@ def solve_modes(params, num_modes):
     from mode 0 to mode 12, and the top 12 |mu| exceed the first 12 by chi
     by up to 25%).
 
-    The truncation K starts at max(2*num_modes, ceil(c/4) + num_modes) + 30,
-    which covers the coefficient support of the modes asked for (the last
-    |A_k| > 1e-12 max|A| sits near 170 at c = 1000 for 10 modes and near 300
-    for 60; the dense eigensolve costs O(K^3)), and doubles until every
-    requested mode's last expansion coefficient is below
-    tolerance * max|coefficient|.  A pinned params.truncation (lifted to
-    num_modes + 2) is not grown: if it fails that tail check,
+    The truncation K starts at num_modes + ceil(c/4) + 30 and doubles until
+    every requested mode's last expansion coefficient is below
+    tolerance * max|coefficient|.  The start covers the coefficient support
+    of the modes asked for with a margin, and the dense eigensolve costs
+    O(K^3), so it is no larger.  Measured over the 480 distinct ops of the
+    spectrum_sweep benchmark, seeds 201-210 (c in [0.5, 79], nu in [0, 3],
+    N <= 4, 10 to 30 modes), the smallest K that passes the tail check is
+    num_modes + 4 (c = 1.1) to num_modes + 23 for c <= 56 and
+    num_modes + 31 at c = 77; the start exceeds it by 19 or more and never
+    doubles there.  At c = 1000 the last |A_k| > 1e-12 max|A| sits near
+    170 for 10 modes and near 300 for 60.  A pinned params.truncation
+    (lifted to num_modes + 2) is not grown: if it fails that tail check,
     ConvergenceError is raised.
     """
     if num_modes < 1:
         raise ValueError("num_modes must be >= 1")
     nu, c, N = params.nu, params.c, params.N
-    K = params.truncation or max(2 * num_modes, math.ceil(c / 4) + num_modes) + 30
+    K = params.truncation or num_modes + math.ceil(c / 4) + 30
     K = max(K, num_modes + 2)
     if K > _MAX_TRUNCATION:
         raise TruncationError(
             f"required truncation {K} exceeds the cap {_MAX_TRUNCATION}")
     while True:
         T = build_spectral_matrix(params, K)
-        pairs = symtri_eigen(T, num_modes)
-        if _tails_ok(pairs, params.tolerance):
+        eig = symtri_eigen(T, num_modes)
+        if _tails_ok(eig.vectors, params.tolerance):
             break
         if params.truncation is not None:
             raise ConvergenceError(
@@ -243,18 +259,15 @@ def solve_modes(params, num_modes):
                 f"needed truncation beyond {_MAX_TRUNCATION} for c={c}")
         K *= 2
 
-    mus = _mu_values(params, T, pairs)
+    mus = _mu_values(params, T, eig)
     lams = 2 * (nu + 1) * _I_POW[N % 4] * mus
     if not np.all(np.abs(lams) <= 1 + 1e-12):  # also refuses NaN
         raise ConvergenceError(
             f"|lambda| = {np.max(np.abs(lams)):.3g} exceeds 1 at nu={nu}, c={c}, N={N}")
-    modes = []
-    for n, (p, mu, lam) in enumerate(zip(pairs, mus, lams)):
-        coeffs = p.vector.copy()
-        coeffs.setflags(write=False)
-        modes.append(RadialMode(n=n, chi=float(p.value), mu=float(mu),
-                                lam=complex(lam), coeffs=coeffs, truncation=K))
-    return modes
+    return [RadialMode(n=n, chi=float(chi), mu=float(mu), lam=complex(lam),
+                       coeffs=coeffs, truncation=K)
+            for n, (chi, mu, lam, coeffs)
+            in enumerate(zip(eig.values, mus, lams, eig.vectors))]
 
 
 def _eval_sum(mode, params, x, radial_power):

@@ -24,7 +24,7 @@ import numpy as np
 from . import operators as ops
 from . import slepian as sl
 from . import transforms as tr
-from .orthopoly import disk_poly, gegenbauer2d, jacobi_sequence
+from .orthopoly import disk_poly, gegenbauer2d, jacobi_term
 from .quadrature import disk_rule, radial_rule
 
 __all__ = ["Check", "run_suite", "SUITES", "PARAM_GRID", "LEMMA1_TOL", "LEMMA1_FLOOR",
@@ -95,7 +95,7 @@ def suite_lemma1(quick=False):
         rule = radial_rule(240, b, beta=a)
         for _, _, n, xs, rhs in cases:
             kept = np.abs(rhs) >= LEMMA1_FLOOR
-            f = lambda t: t ** (a + 0.5) * jacobi_sequence(n, a, b, 1 - 2 * t * t)[n]
+            f = lambda t: t ** (a + 0.5) * jacobi_term(n, a, b, 1 - 2 * t * t)
             lhs = ops.apply_finite_hankel(b, 1.0, a, f, xs[kept], rule)
             for x, val, ref in zip(xs[kept], lhs, rhs[kept]):
                 checks.append(_check(f"lemma1 a={a} b={b} n={n} x={x}",

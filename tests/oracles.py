@@ -15,7 +15,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from diskslepian.orthopoly import jacobi_sequence
+from diskslepian.orthopoly import jacobi_term
 
 mp.mp.dps = 40
 
@@ -187,7 +187,7 @@ def t_basis(idx, x):
     if np.any(x < 0) or np.any(x > 1):
         raise ValueError("t_basis requires 0 <= x <= 1")
     c = math.exp(_log_r_const(N, n))
-    rad = jacobi_sequence(n, N, nu, 1.0 - 2.0 * x * x)[n]
+    rad = jacobi_term(n, N, nu, 1.0 - 2.0 * x * x)
     out = c * x ** (N + 0.5) * rad
     return out if out.ndim else float(out)
 

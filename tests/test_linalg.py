@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from diskslepian.linalg import (AsymmetryError, EigenPair, SymTridiagonal,
+from diskslepian.linalg import (AsymmetryError, Eigenpairs, SymTridiagonal,
                                 dense_sym_eigen, symtri_eigen)
 
 import oracles
@@ -10,36 +10,34 @@ import oracles
 
 def test_symtri_2x2_analytic():
     T = SymTridiagonal([2.0, 2.0], [-1.0])
-    pairs = symtri_eigen(T, 2)
-    assert [p.value for p in pairs] == pytest.approx([1.0, 3.0], abs=1e-14)
+    assert symtri_eigen(T, 2).values == pytest.approx([1.0, 3.0], abs=1e-14)
 
 
 def test_symtri_diagonal():
     T = SymTridiagonal([5.0, 5.0, 5.0], [0.0, 0.0])
-    pairs = symtri_eigen(T, 3)
-    assert [p.value for p in pairs] == pytest.approx([5.0, 5.0, 5.0], abs=1e-14)
+    assert symtri_eigen(T, 3).values == pytest.approx([5.0, 5.0, 5.0], abs=1e-14)
 
 
 def test_symtri_vs_sturm_bisection_oracle():
     diag = [float(k * k) for k in range(1, 7)]
     off = [1.0] * 5
-    pairs = symtri_eigen(SymTridiagonal(diag, off), 6)
+    vals = symtri_eigen(SymTridiagonal(diag, off), 6).values
     ref = oracles.tridiag_eigs_bisect(diag, off, 6)
-    for p, r in zip(pairs, ref):
-        assert abs(p.value - float(r)) <= 1e-12 * max(1.0, abs(float(r)))
+    for val, r in zip(vals, ref):
+        assert abs(val - float(r)) <= 1e-12 * max(1.0, abs(float(r)))
 
 
 def test_symtri_residual_and_orthogonality():
     rng = np.random.default_rng(3)
     T = SymTridiagonal(rng.normal(size=40), rng.normal(size=39))
-    pairs = symtri_eigen(T, 40)
-    vals = np.array([p.value for p in pairs])
+    eig = symtri_eigen(T, 40)
+    vals = eig.values
     assert np.all(np.diff(vals) >= 0)
-    V = np.array([p.vector for p in pairs]).T
+    V = eig.vectors.T
     norm = T.norm_bound()
-    for p in pairs:
-        assert np.linalg.norm(T.matvec(p.vector) - p.value * p.vector) <= 1e-11 * norm
-        assert abs(np.linalg.norm(p.vector) - 1.0) <= 1e-12
+    for val, vec in zip(vals, eig.vectors):
+        assert np.linalg.norm(T.matvec(vec) - val * vec) <= 1e-11 * norm
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
     assert np.max(np.abs(V.T @ V - np.eye(40))) <= 1e-10
     # trace preservation
     assert np.sum(vals) == pytest.approx(np.sum(T.diag), rel=1e-10)
@@ -52,13 +50,35 @@ def test_offdiag_sign_flip_similarity():
     base = symtri_eigen(SymTridiagonal(d, e), 12)
     flipped = symtri_eigen(SymTridiagonal(d, -e), 12)
     signs = (-1.0) ** np.arange(12)
-    for p, q in zip(base, flipped):
-        assert q.value == pytest.approx(p.value, rel=1e-12, abs=1e-12)
+    assert flipped.values == pytest.approx(base.values, rel=1e-12, abs=1e-12)
+    for p_vec, q_vec in zip(base.vectors, flipped.vectors):
         # D T D^-1 with D = diag(+-1) flips component signs predictably
-        flipped_vec = signs * p.vector
-        if np.dot(flipped_vec, q.vector) < 0:
+        flipped_vec = signs * p_vec
+        if np.dot(flipped_vec, q_vec) < 0:
             flipped_vec = -flipped_vec
-        assert np.max(np.abs(flipped_vec - q.vector)) <= 1e-9
+        assert np.max(np.abs(flipped_vec - q_vec)) <= 1e-9
+
+
+@pytest.mark.parametrize("K,count", [(2, 1), (7, 7), (60, 12)])
+def test_symtri_array_contract(K, count):
+    # ascending values, a read-only (count, K) array of unit rows whose
+    # largest component is positive, each row an eigenvector to 1e-11 ||T||
+    rng = np.random.default_rng(K)
+    T = SymTridiagonal(rng.normal(size=K), rng.normal(size=K - 1))
+    eig = symtri_eigen(T, count)
+    assert isinstance(eig, Eigenpairs) and len(eig) == count
+    assert eig.values.shape == (count,) and eig.vectors.shape == (count, K)
+    assert eig.vectors.flags.c_contiguous
+    assert not eig.values.flags.writeable and not eig.vectors.flags.writeable
+    assert np.all(np.diff(eig.values) >= 0)
+    ref = np.linalg.eigvalsh(T.to_dense())[:count]
+    assert np.max(np.abs(eig.values - ref)) <= 1e-12 * T.norm_bound()
+    rows = np.arange(count)
+    peak = np.argmax(np.abs(eig.vectors), axis=1)
+    assert np.all(eig.vectors[rows, peak] > 0)
+    assert np.max(np.abs(np.linalg.norm(eig.vectors, axis=1) - 1.0)) <= 1e-14
+    for val, vec in zip(eig.values, eig.vectors):
+        assert np.linalg.norm(T.matvec(vec) - val * vec) <= 1e-11 * T.norm_bound()
 
 
 def test_symtri_count_validation():
@@ -88,7 +108,7 @@ def test_dense_vs_tridiagonalized_path():
     dense = sorted(p.value for p in dense_sym_eigen(A, 8))
     H, q = scipy.linalg.hessenberg(A, calc_q=True)
     T = SymTridiagonal(np.diag(H), np.diag(H, 1))
-    tri = [p.value for p in symtri_eigen(T, 8)]
+    tri = symtri_eigen(T, 8).values
     assert np.max(np.abs(np.array(dense) - np.array(tri))) <= 1e-10
 
 

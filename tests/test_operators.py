@@ -35,6 +35,23 @@ class TestFiniteHankel:
         lhs = ops.apply_finite_hankel(b, 1.0, a, f, x, rule)
         assert lhs == pytest.approx(tr.lemma1_rhs(a, b, n, x), rel=1e-9)
 
+    def test_rule_beta_must_match_hankel_order(self):
+        # a half-integer order needs the rule of its integrand class:
+        # beta = 0.5 reproduces the closed form, beta = 0 is refused
+        a, b, n, xs = 0.5, 2.5, 4, np.array([2.0, 5.0])
+        f = lambda t: t ** (a + 0.5) * jacobi_sequence(n, a, b, 1 - 2 * t * t)[n]
+        lhs = ops.apply_finite_hankel(b, 1.0, a, f, xs, radial_rule(240, b, beta=a))
+        rhs = np.array([tr.lemma1_rhs(a, b, n, x) for x in xs])
+        assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-9
+        for rule in (radial_rule(240, b), radial_rule(240, b, beta=1.5)):
+            with pytest.raises(ValueError, match="beta"):
+                ops.apply_finite_hankel(b, 1.0, a, f, xs, rule)
+        # beta = N - j for an integer j >= 0 covers the same class
+        g = lambda t: t ** 2 * (1 + t * t)
+        ref = ops.apply_finite_hankel(b, 1.0, 1.5, g, xs, radial_rule(240, b, beta=1.5))
+        assert ops.apply_finite_hankel(b, 1.0, 1.5, g, xs, radial_rule(240, b, beta=0.5)) == \
+            pytest.approx(ref, rel=1e-12)
+
     def test_small_c_leading_order(self):
         # H f ~ (cx)^(N+1/2)/(2^N N!) * integral t^(N+1) R(t) (1-t^2)^nu dt
         nu, N, c, x = 0.5, 1, 1e-3, 0.8

@@ -36,6 +36,16 @@ class TestJacobi:
                     ref, rel=1e-11, abs=1e-11)
 
 
+    @pytest.mark.parametrize("u", [0.3, np.linspace(-1, 1, 7),
+                                   np.linspace(-1, 1, 5, dtype=np.longdouble)])
+    def test_single_term_matches_stacked_sequence_bitwise(self, u):
+        for n, a, b in [(0, 0.0, 0.0), (1, 2.5, -0.5), (4, 0.5, 2.5), (9, 3.0, 1.0)]:
+            one = op.jacobi_term(n, a, b, u)
+            stacked = op.jacobi_sequence(n, a, b, u)[n]
+            assert np.asarray(one).dtype == stacked.dtype
+            assert np.array_equal(one, stacked)
+
+
 class TestGegenbauer:
     def test_low_degrees(self):
         assert op.gegenbauer_c(0, 0.7, 0.3) == 1.0

@@ -53,6 +53,23 @@ class TestSpectralMatrix:
             other = c * c * c_next * math.sqrt(h_k / h_k1)
             assert abs(T.offdiag[k] - other) <= 1e-12 * max(1.0, abs(other))
 
+    @pytest.mark.parametrize("nu,N", [(0.0, 0), (-0.9, 3), (2.5, 2)])
+    @pytest.mark.parametrize("K", [2, 3, 57])
+    def test_array_build_matches_scalar_reference_bitwise(self, nu, N, K):
+        # the scalar recipe, entry by entry; (0, 0) is the 0/0 case of b_0
+        from diskslepian.orthopoly import x2_recurrence_coeffs
+        c = 7.3
+        diag, off = [], []
+        for k in range(K):
+            a, b, _ = x2_recurrence_coeffs(TBasisIndex(N, k, nu))
+            diag.append(sl.chi0(N, k, nu) + c * c * b)
+            if k < K - 1:
+                ratio = t_norm_sq(TBasisIndex(N, k + 1, nu)) / t_norm_sq(TBasisIndex(N, k, nu))
+                off.append(c * c * a * math.sqrt(ratio))
+        T = sl.build_spectral_matrix(SlepianParams(nu=nu, c=c, N=N), K)
+        assert np.array_equal(T.diag, diag)
+        assert np.array_equal(T.offdiag, off)
+
 
 class TestSolveModes:
     def test_zero_bandwidth_modes(self):
@@ -133,6 +150,46 @@ class TestSolveModes:
             assert few[0].truncation != many[0].truncation
             for a, b in zip(few, many):
                 assert abs(a.mu - b.mu) <= 1e-12 * abs(b.mu)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.5, 2.9])
+    @pytest.mark.parametrize("c", [0.5, 5.0, 40.0, 80.0])
+    def test_default_start_is_converged_and_not_doubled(self, nu, c, monkeypatch):
+        # K starts at num_modes + ceil(c/4) + 30; one matrix build per solve
+        # at that K, and a solve pinned at 2K agrees to 1e-12 (mu), 1e-13 (chi)
+        builds = []
+        real_build = sl.build_spectral_matrix
+        monkeypatch.setattr(sl, "build_spectral_matrix",
+                            lambda params, K: builds.append(K) or real_build(params, K))
+        for N in range(5):
+            for num_modes in (10, 30):
+                p = SlepianParams(nu=nu, c=c, N=N)
+                builds.clear()
+                modes = sl.solve_modes(p, num_modes)
+                K = num_modes + math.ceil(c / 4) + 30
+                assert builds == [K] and modes[0].truncation == K
+                wide = sl.solve_modes(SlepianParams(nu=nu, c=c, N=N, truncation=2 * K),
+                                      num_modes)
+                for a, b in zip(modes, wide):
+                    assert abs(a.mu - b.mu) <= 1e-12 * abs(b.mu)
+                    assert abs(a.chi - b.chi) <= 1e-13 * abs(b.chi)
+
+    def test_leading_coeffs_refuse_an_exact_zero_pivot(self):
+        # d_0 - chi = 0 exactly: the continued fraction has no finite ratio
+        from diskslepian.linalg import SymTridiagonal
+        T = SymTridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])
+        vecs = np.array([[0.1, 0.2, 0.9], [0.1, 0.9, 0.2]])
+        a0 = sl._leading_coeffs(T, np.array([1.0, 2.5]), vecs)
+        assert math.isnan(a0[0])
+        assert a0[1] == 0.9 * (-0.5 / (1.0 - 2.5))
+
+    def test_coeffs_are_read_only_unit_rows(self):
+        modes = sl.solve_modes(SlepianParams(nu=1.0, c=6.0, N=2), 5)
+        for m in modes:
+            assert m.coeffs.shape == (m.truncation,)
+            assert not m.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                m.coeffs[0] = 0.0
+            assert m.coeffs[np.argmax(np.abs(m.coeffs))] > 0
 
 
 class TestEvaluation:
