@@ -27,7 +27,6 @@ from . import __version__
 from .linalg import ConvergenceError
 from .slepian import SlepianParams, TruncationError, eval_phi, eval_psi, solve_modes
 from .transforms import disk_transform_closed, gegenbauer2d_transform_closed
-from .verification import run_suite
 
 SCHEMA_VERSION = 1
 
@@ -170,6 +169,9 @@ def cmd_tabulate(args):
 
 
 def cmd_verify(args):
+    # imported here: the other commands need none of the suites
+    from .verification import run_suite
+
     try:
         checks = run_suite(args.suite, quick=args.quick)
     except KeyError as exc:

@@ -39,8 +39,9 @@ raises ConvergenceError.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,22 +92,26 @@ class SlepianParams:
             raise ValueError("truncation must be >= 2")
 
 
-@dataclass(frozen=True)
-class RadialMode:
-    """One radial eigen-solution.
+class RadialMode(NamedTuple):
+    """One radial eigen-solution, an immutable record.
 
     chi is the Sturm-Liouville eigenvalue of Lambda = -L; mu the integral
     eigenvalue of the radial kernel equation; lam = 2 (nu+1) i^N mu the 2D
     transform eigenvalue; coeffs the unit expansion vector in the
-    orthonormalized T basis, a read-only row of the solve's eigenvectors.
+    orthonormalized T basis, a read-only row of the solve's eigenvectors,
+    left out of the repr.
     """
 
     n: int
     chi: float
     mu: float
     lam: complex
-    coeffs: np.ndarray = field(repr=False)
+    coeffs: np.ndarray
     truncation: int
+
+    def __repr__(self):
+        return (f"RadialMode(n={self.n!r}, chi={self.chi!r}, mu={self.mu!r}, "
+                f"lam={self.lam!r}, truncation={self.truncation!r})")
 
 
 def chi0(N, n, nu):
@@ -114,20 +119,54 @@ def chi0(N, n, nu):
     return (N + 2 * n + 0.5) * (N + 2 * nu + 2 * n + 1.5)
 
 
-@lru_cache(maxsize=64)
-def _basis_norms(N, nu, K):
-    """Read-only h_{N,k} = t_norm_sq for k < K.  The matrix build, the mu
-    closed form and the eigenfunction evaluation at one truncation K all
-    read this one array."""
-    h = np.array([t_norm_sq(TBasisIndex(N, k, nu)) for k in range(K)])
-    h.setflags(write=False)
-    return h
-
-
 def _log_norm_const(N, k, h_k):
     """log of c-hat_k = (N! k!/(k+N)!) / sqrt(h_k)."""
     log_c = math.lgamma(N + 1) + math.lgamma(k + 1) - math.lgamma(k + N + 1)
     return log_c - 0.5 * math.log(h_k)
+
+
+class _BasisTerms(NamedTuple):
+    """The c-independent terms of the truncation-K problem at (N, nu), each
+    a read-only array over k: the basis norms h_k = t_norm_sq, the
+    zero-bandwidth diagonal chi0(N, k, nu), the x^2 recurrence diagonal
+    beta_k = (1 - b_jac_k)/2 and off-diagonal a_k, the norm ratios
+    sqrt(h_{k+1}/h_k), h_k^(-1/2) for the mu closed form and the
+    evaluation constants c-hat_k = exp(_log_norm_const)."""
+
+    h: np.ndarray
+    chi0: np.ndarray
+    beta: np.ndarray
+    a: np.ndarray
+    ratio: np.ndarray
+    inv_sqrt_h: np.ndarray
+    scale: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _basis_terms(N, nu, K):
+    """The ``_BasisTerms`` record of (N, nu, K).  The matrix build, the mu
+    closed form and the eigenfunction evaluation at one truncation all read
+    this one record, so a repeated solve pays only its c-dependent work.
+    Terms that are not finite (h_k underflows at large N and k, nu >~ 1e154
+    overflows) are kept as inf or NaN without a warning: the matrix build
+    refuses them."""
+    h = np.array([t_norm_sq(TBasisIndex(N, k, nu)) for k in range(K)])
+    # NaN where h_k underflows to 0 (math.log refuses it); the build refuses
+    # such a record before any mode is made from it
+    scale = np.array([math.exp(_log_norm_const(N, k, h_k)) if h_k > 0 else math.nan
+                      for k, h_k in enumerate(h.tolist())])
+    k = np.arange(K)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = 2 * k + N + nu
+        a = -(k[:-1] + N + 1) * (k[:-1] + N + nu + 1) / ((s[:-1] + 1) * (s[:-1] + 2))
+        b_jac = np.empty(K)
+        b_jac[0] = (nu - N) / (N + nu + 2)
+        b_jac[1:] = (nu * nu - N * N) / (s[1:] * (s[1:] + 2))
+        terms = _BasisTerms(h, chi0(N, k, nu), 0.5 * (1.0 - b_jac), a,
+                            np.sqrt(h[1:] / h[:-1]), h ** -0.5, scale)
+    for arr in terms:
+        arr.setflags(write=False)
+    return terms
 
 
 def build_spectral_matrix(params, K):
@@ -137,24 +176,21 @@ def build_spectral_matrix(params, K):
     e_k = c^2 a_k sqrt(h_{k+1}/h_k); symmetry is the self-adjointness
     identity a_k h_{k+1} = c_{k+1} h_k of the x^2 recurrence.  a_k and b_k
     are the expressions of ``x2_recurrence_coeffs`` evaluated over
-    k = 0..K-1 at once, with its k = 0 branch for b_0.  Raises
-    ConvergenceError when an entry is not finite.
+    k = 0..K-1 at once, with its k = 0 branch for b_0.  Everything but the
+    two products with c^2 comes from the cached ``_basis_terms`` record of
+    (N, nu, K), so a repeated (N, nu, K) costs two array operations; the
+    returned arrays are new.  Raises ConvergenceError when an entry is not
+    finite.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
     nu, c, N = params.nu, params.c, params.N
     c2 = c * c
-    k = np.arange(K)
-    h = _basis_norms(N, nu, K)
+    t = _basis_terms(N, nu, K)
     # a non-finite entry is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        s = 2 * k + N + nu
-        a = -(k[:-1] + N + 1) * (k[:-1] + N + nu + 1) / ((s[:-1] + 1) * (s[:-1] + 2))
-        b_jac = np.empty(K)
-        b_jac[0] = (nu - N) / (N + nu + 2)
-        b_jac[1:] = (nu * nu - N * N) / (s[1:] * (s[1:] + 2))
-        diag = chi0(N, k, nu) + c2 * (0.5 * (1.0 - b_jac))
-        off = c2 * a * np.sqrt(h[1:] / h[:-1])
+        diag = t.chi0 + c2 * t.beta
+        off = c2 * t.a * t.ratio
     try:
         return SymTridiagonal(diag, off)
     except ValueError as exc:  # entries not finite, e.g. nu >~ 1e154
@@ -205,7 +241,7 @@ def _mu_values(params, T, eig):
         if N == 0:
             mus[0] = 0.5 / (nu + 1)
         return mus
-    inv_sqrt_h = _basis_norms(N, nu, T.dim) ** -0.5
+    inv_sqrt_h = _basis_terms(N, nu, T.dim).inv_sqrt_h
     log_pref = (N * math.log(c) + math.lgamma(nu + 1) - (N + 1) * math.log(2.0)
                 - math.lgamma(N + nu + 2) + math.log(inv_sqrt_h[0]))
     vecs = eig.vectors
@@ -264,19 +300,17 @@ def solve_modes(params, num_modes):
     if not np.all(np.abs(lams) <= 1 + 1e-12):  # also refuses NaN
         raise ConvergenceError(
             f"|lambda| = {np.max(np.abs(lams)):.3g} exceeds 1 at nu={nu}, c={c}, N={N}")
-    return [RadialMode(n=n, chi=float(chi), mu=float(mu), lam=complex(lam),
-                       coeffs=coeffs, truncation=K)
+    return [RadialMode(n, chi, mu, lam, coeffs, K)
             for n, (chi, mu, lam, coeffs)
-            in enumerate(zip(eig.values, mus, lams, eig.vectors))]
+            in enumerate(zip(eig.values.tolist(), mus.tolist(), lams.tolist(),
+                             eig.vectors))]
 
 
 def _eval_sum(mode, params, x, radial_power):
     """sum_k A_k chat_k P_k(1-2x^2) times x**radial_power, vectorized."""
     nu, N = params.nu, params.N
     x = np.asarray(x, dtype=float)
-    K = len(mode.coeffs)
-    h = _basis_norms(N, nu, K)
-    scale = np.array([math.exp(_log_norm_const(N, k, h[k])) for k in range(K)])
+    scale = _basis_terms(N, nu, len(mode.coeffs)).scale
     # forward accumulation, one Jacobi term at a time
     terms = zip(mode.coeffs * scale, jacobi_values(N, nu, 1 - 2 * x * x))
     coeff, p = next(terms)

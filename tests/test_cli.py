@@ -300,3 +300,9 @@ def test_cli_import_loads_no_scipy():
                           text=True, check=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.stdout.strip() == "[]"
+    # nor the verification suites, which only cmd_verify imports
+    probe = "import diskslepian.cli, sys; print('diskslepian.verification' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.strip() == "False"

@@ -122,3 +122,38 @@ def test_dense_asymmetry_error():
     A = np.array([[1.0, 2.0], [2.1, 1.0]])
     with pytest.raises(AsymmetryError):
         dense_sym_eigen(A, 1)
+
+
+def _flip_then_divide(A, count, by_magnitude=False):
+    # the two-step sign rule: negate rows whose largest component is
+    # negative, then divide each by sqrt(v . v)
+    vals, vecs = np.linalg.eigh(A)
+    order = np.argsort(-np.abs(vals), kind="stable")[:count] if by_magnitude else slice(count)
+    rows = vecs[:, order].T.copy()
+    peak = np.argmax(np.abs(rows), axis=1)
+    flip = rows[np.arange(count), peak] < 0
+    rows[flip] *= -1.0
+    rows /= np.sqrt([v.dot(v) for v in rows])[:, None]
+    return rows, int(np.sum(flip))
+
+
+@pytest.mark.parametrize("K,count", [(2, 1), (9, 9), (60, 12), (80, 40)])
+def test_signed_divide_matches_flip_then_divide_bitwise(K, count):
+    rng = np.random.default_rng(100 + K)
+    T = SymTridiagonal(rng.normal(size=K), rng.normal(size=K - 1))
+    dense = np.diag(T.diag) + np.diag(T.offdiag, 1) + np.diag(T.offdiag, -1)
+    assert np.array_equal(T.to_dense(), dense)
+    ref, _ = _flip_then_divide(dense, count)
+    assert np.array_equal(symtri_eigen(T, count).vectors, ref)
+    A = rng.normal(size=(K, K))
+    A = 0.5 * (A + A.T)
+    ref, _ = _flip_then_divide(A, count, by_magnitude=True)
+    assert np.array_equal(np.array([p.vector for p in dense_sym_eigen(A, count)]), ref)
+
+
+def test_signed_divide_matches_flip_then_divide_on_spectral_matrix():
+    from diskslepian.slepian import SlepianParams, build_spectral_matrix
+    T = build_spectral_matrix(SlepianParams(nu=0.7, c=23.0, N=3), 52)
+    ref, flipped = _flip_then_divide(T.to_dense(), 20)
+    assert flipped > 0  # the sign rule acts on this case
+    assert np.array_equal(symtri_eigen(T, 20).vectors, ref)

@@ -191,6 +191,53 @@ class TestSolveModes:
                 m.coeffs[0] = 0.0
             assert m.coeffs[np.argmax(np.abs(m.coeffs))] > 0
 
+    def test_radial_mode_is_an_immutable_record_of_python_scalars(self):
+        m = sl.solve_modes(SlepianParams(nu=0.5, c=3.0, N=1), 3)[1]
+        assert isinstance(m, RadialMode)
+        with pytest.raises(AttributeError):
+            m.chi = 0.0
+        with pytest.raises(AttributeError):
+            m.coeffs = None
+        assert type(m.n) is int and type(m.truncation) is int
+        assert type(m.chi) is float and type(m.mu) is float
+        assert type(m.lam) is complex
+        assert repr(m) == (f"RadialMode(n=1, chi={m.chi!r}, mu={m.mu!r}, "
+                           f"lam={m.lam!r}, truncation={m.truncation!r})")
+
+
+class TestBasisTerms:
+    def test_cached_terms_are_read_only(self):
+        terms = sl._basis_terms(2, 1.0, 30)
+        assert terms is sl._basis_terms(2, 1.0, 30)
+        for arr in terms:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("c", [0.0, 6.0])
+    def test_writing_a_returned_matrix_leaves_later_solves_unchanged(self, c):
+        p = SlepianParams(nu=1.0, c=c, N=2, truncation=40)
+        before = sl.solve_modes(p, 5)
+        T = sl.build_spectral_matrix(p, 40)
+        T.diag[:] = 1.0
+        T.offdiag[:] = 0.5
+        after = sl.solve_modes(p, 5)
+        for a, b in zip(before, after):
+            assert (a.chi, a.mu, a.lam) == (b.chi, b.mu, b.lam)
+            assert np.array_equal(a.coeffs, b.coeffs)
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_norms_are_refused_without_warnings(self):
+        # h_k underflows to 0 from k = 190 at N = 400: the record keeps NaN
+        # ratios and c-hat_k, the build refuses them, and nothing warns
+        p = SlepianParams(nu=3.0, c=1000.0, N=400)
+        with pytest.raises(sl.ConvergenceError, match="overflow"):
+            sl.solve_modes(p, 5)
+        terms = sl._basis_terms(400, 3.0, 285)
+        assert np.all(terms.h[190:] == 0) and np.all(terms.h[:190] > 0)
+        assert np.all(np.isnan(terms.scale[190:]))
+        assert np.all(np.isfinite(terms.scale[:190]))
+
 
 class TestEvaluation:
     def test_phi_reproduces_basis_at_zero_bandwidth(self):
