@@ -234,7 +234,11 @@ def _build_parser():
         p.add_argument("--c", type=float, required=True)
         p.add_argument("--N", type=int, required=True)
         p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--truncation", type=int, default=None)
+        p.add_argument("--truncation", type=int, default=None,
+                       help="pin the expansion size K, raised to the number of "
+                       "modes solved + 2; a K whose coefficient tail fails --tol "
+                       "exits 3.  Default: the smallest K a tail bound "
+                       "certifies, doubled until the tail passes")
         p.add_argument("--out", default=None)
         if modes:
             p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -39,6 +39,8 @@ raises ConvergenceError.
 """
 
 import math
+import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -53,14 +55,26 @@ __all__ = ["SlepianParams", "RadialMode", "chi0", "build_spectral_matrix",
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
-# the eigensolve is dense: at K = 4096 it takes about 15 s and 0.7 GB.  K
-# starts near c/4, so this admits c up to about 16000, as a cap of 16384
-# did when K started at c
+# the eigensolve is dense: at K = 4096 it takes about 15 s and 0.7 GB.  The
+# ceiling of the truncation start, num_modes + ceil(c/4) + 30, must stay
+# under it, which admits c up to about 16000
 _MAX_TRUNCATION = 4096
+
+# (N, nu) records of c-independent terms kept by ``_basis_record``
+_BASIS_CACHE_SIZE = 64
 
 
 class TruncationError(RuntimeError):
     """Truncation growth exceeded the hard cap (c unreasonably large)."""
+
+
+def _as_int(value, name):
+    """value as a Python int; any integer type is accepted (numpy ones
+    too), anything else, 2.0 included, is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -80,6 +94,10 @@ class SlepianParams:
     tolerance: float = 1e-12
 
     def __post_init__(self):
+        object.__setattr__(self, "N", _as_int(self.N, "N"))
+        if self.truncation is not None:
+            object.__setattr__(self, "truncation",
+                               _as_int(self.truncation, "truncation"))
         if not (math.isfinite(self.nu) and self.nu > -1):
             raise ValueError("nu must be finite and exceed -1")
         if not (math.isfinite(self.c) and self.c >= 0):
@@ -142,14 +160,12 @@ class _BasisTerms(NamedTuple):
     scale: np.ndarray
 
 
-@lru_cache(maxsize=64)
-def _basis_terms(N, nu, K):
-    """The ``_BasisTerms`` record of (N, nu, K).  The matrix build, the mu
-    closed form and the eigenfunction evaluation at one truncation all read
-    this one record, so a repeated solve pays only its c-dependent work.
-    Terms that are not finite (h_k underflows at large N and k, nu >~ 1e154
-    overflows) are kept as inf or NaN without a warning: the matrix build
-    refuses them."""
+def _build_basis_terms(N, nu, K):
+    """A fresh ``_BasisTerms`` record of (N, nu) at truncation K.  Every
+    entry depends on its own k alone, so a record's slice to a smaller K is
+    bitwise equal to the record built at that K.  Terms that are not finite
+    (h_k underflows at large N and k, nu >~ 1e154 overflows) are kept as inf
+    or NaN without a warning: the matrix build refuses them."""
     h = np.array([t_norm_sq(TBasisIndex(N, k, nu)) for k in range(K)])
     # NaN where h_k underflows to 0 (math.log refuses it); the build refuses
     # such a record before any mode is made from it
@@ -169,6 +185,38 @@ def _basis_terms(N, nu, K):
     return terms
 
 
+_basis_records = OrderedDict()  # (N, nu) -> _BasisTerms, least recent first
+
+
+def _basis_record(N, nu, K):
+    """The one cached ``_BasisTerms`` record of (N, nu), at least K long.  It
+    is rebuilt at K when it is shorter, and the least recently used of more
+    than _BASIS_CACHE_SIZE records is dropped."""
+    record = _basis_records.pop((N, nu), None)
+    if record is None or len(record.h) < K:
+        record = _build_basis_terms(N, nu, K)
+    _basis_records[N, nu] = record
+    if len(_basis_records) > _BASIS_CACHE_SIZE:
+        _basis_records.popitem(last=False)
+    return record
+
+
+@lru_cache(maxsize=2 * _BASIS_CACHE_SIZE)
+def _basis_terms(N, nu, K):
+    """The ``_BasisTerms`` of (N, nu) at truncation K: read-only slices of
+    the (N, nu) record.  The truncation bound, the matrix build, the mu
+    closed form and the eigenfunction evaluation all read them, so a
+    repeated solve pays only its c-dependent work.  A solve reads two
+    truncations, the bound's ceiling and its K; a miss here costs a few
+    views, not a rebuild."""
+    record = _basis_record(N, nu, K)
+    if len(record.h) == K:
+        return record
+    h, chi0_k, beta, a, ratio, inv_sqrt_h, scale = record
+    return _BasisTerms(h[:K], chi0_k[:K], beta[:K], a[:K - 1], ratio[:K - 1],
+                       inv_sqrt_h[:K], scale[:K])
+
+
 def build_spectral_matrix(params, K):
     """Matrix of Lambda = -L_{c,N,nu} in the orthonormalized T basis.
 
@@ -177,8 +225,8 @@ def build_spectral_matrix(params, K):
     identity a_k h_{k+1} = c_{k+1} h_k of the x^2 recurrence.  a_k and b_k
     are the expressions of ``x2_recurrence_coeffs`` evaluated over
     k = 0..K-1 at once, with its k = 0 branch for b_0.  Everything but the
-    two products with c^2 comes from the cached ``_basis_terms`` record of
-    (N, nu, K), so a repeated (N, nu, K) costs two array operations; the
+    two products with c^2 comes from the cached ``_basis_terms`` of
+    (N, nu, K), so a repeated (N, nu) costs two array operations; the
     returned arrays are new.  Raises ConvergenceError when an entry is not
     finite.
     """
@@ -249,6 +297,45 @@ def _mu_values(params, T, eig):
             / (vecs @ inv_sqrt_h))
 
 
+def _certified_truncation(params, num_modes, ceiling):
+    """Smallest K in [num_modes + 2, ceiling] at which a tail bound certifies
+    that the first num_modes eigenvectors have decayed below
+    params.tolerance, or ceiling where none is certified.
+
+    The bound reads d_k and |e_k| of the size-ceiling matrix from the cached
+    terms and c^2, without building it.  Row k's Gershgorin disc is
+    d_k -+ (|e_{k-1}| + |e_k|).  chi_ub, the num_modes-th smallest upper
+    end, bounds chi_{num_modes-1} of every truncation that holds those rows
+    (interlacing).  Past the last row whose disc reaches below chi_ub, an
+    eigenvector with chi <= chi_ub does not grow, and row k of the
+    eigenrelation gives |A_k| <= |e_{k-1}| |A_{k-1}| / (d_k - chi_ub - |e_k|).
+    The mu closed form sums A_k h_k^(-1/2), and with
+    e_{k-1} = c^2 a_{k-1} sqrt(h_k/h_{k-1}) that weighted coefficient moves
+    by at most c^2 |a_{k-1}| / (d_k - chi_ub - |e_k|) a row.  K is where the
+    product of these factors first falls under the tolerance.  h_k
+    decreases, so the weighted factor is the larger and K also certifies
+    the unweighted tail that ``_tails_ok`` checks.  A row that is not finite
+    certifies nothing.
+    """
+    c2 = params.c * params.c
+    t = _basis_terms(params.N, params.nu, ceiling)
+    d = t.chi0 + c2 * t.beta
+    c2a = -c2 * t.a  # c^2 |a_k|: a_k < 0 for nu > -1
+    e = np.zeros(ceiling + 1)  # |e_{k-1}| at k, |e_k| at k + 1
+    np.multiply(c2a, t.ratio, out=e[1:-1])
+    radius = e[:-1] + e[1:]
+    chi_ub = np.partition(d + radius, num_modes - 1)[num_modes - 1]
+    # one past the last disc that reaches below chi_ub (or is NaN)
+    k0 = ceiling - int(np.argmin((d - radius > chi_ub)[::-1]))
+    prod = 1.0
+    for k, (a_k, d_k, e_k) in enumerate(zip(c2a[k0 - 1:].tolist(), d[k0:].tolist(),
+                                            e[k0 + 1:].tolist()), k0):
+        prod *= a_k / (d_k - chi_ub - e_k)
+        if prod < params.tolerance:
+            return max(k + 1, num_modes + 2)
+    return ceiling
+
+
 def solve_modes(params, num_modes):
     """First ``num_modes`` radial modes, ordered by ascending chi.
 
@@ -259,20 +346,24 @@ def solve_modes(params, num_modes):
     from mode 0 to mode 12, and the top 12 |mu| exceed the first 12 by chi
     by up to 25%).
 
-    The truncation K starts at num_modes + ceil(c/4) + 30 and doubles until
-    every requested mode's last expansion coefficient is below
-    tolerance * max|coefficient|.  The start covers the coefficient support
-    of the modes asked for with a margin, and the dense eigensolve costs
-    O(K^3), so it is no larger.  Measured over the 480 distinct ops of the
-    spectrum_sweep benchmark, seeds 201-210 (c in [0.5, 79], nu in [0, 3],
-    N <= 4, 10 to 30 modes), the smallest K that passes the tail check is
-    num_modes + 4 (c = 1.1) to num_modes + 23 for c <= 56 and
-    num_modes + 31 at c = 77; the start exceeds it by 19 or more and never
-    doubles there.  At c = 1000 the last |A_k| > 1e-12 max|A| sits near
-    170 for 10 modes and near 300 for 60.  A pinned params.truncation
-    (lifted to num_modes + 2) is not grown: if it fails that tail check,
-    ConvergenceError is raised.
+    The truncation K starts at the smallest K >= num_modes + 2 that a
+    Gershgorin-and-recurrence tail bound certifies (``_certified_truncation``),
+    at most the ceiling num_modes + ceil(c/4) + 30, and doubles until every
+    requested mode's last expansion coefficient is below
+    tolerance * max|coefficient|.  The dense eigensolve costs O(K^3), so the
+    start is no larger than the bound needs.  At c = 0 it is num_modes + 2.
+    Measured over the 480 distinct ops of the spectrum_sweep benchmark,
+    seeds 201-210 (c in [0.5, 79], nu in [0, 3], N <= 4, 10 to 30 modes),
+    K is num_modes + 4 to num_modes + 41, 9 to 27 rows (median 25) below
+    the ceiling, and 0 (median) to 10 rows above the smallest K that passes
+    the tail check; no solve doubles there.  Where chi_ub is far above the
+    true chi (c = 80 with 10 modes, and c = 200 or 1000), no K below the
+    ceiling is certified and K is the ceiling; at c = 1000 the last
+    |A_k| > 1e-12 max|A| sits near 170 for 10 modes and near 300 for 60.
+    A pinned params.truncation (lifted to num_modes + 2) is not grown: if
+    it fails that tail check, ConvergenceError is raised.
     """
+    num_modes = _as_int(num_modes, "num_modes")
     if num_modes < 1:
         raise ValueError("num_modes must be >= 1")
     nu, c, N = params.nu, params.c, params.N
@@ -281,6 +372,8 @@ def solve_modes(params, num_modes):
     if K > _MAX_TRUNCATION:
         raise TruncationError(
             f"required truncation {K} exceeds the cap {_MAX_TRUNCATION}")
+    if params.truncation is None:
+        K = _certified_truncation(params, num_modes, K)
     while True:
         T = build_spectral_matrix(params, K)
         eig = symtri_eigen(T, num_modes)

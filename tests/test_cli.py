@@ -27,8 +27,9 @@ class TestEigs:
         assert code == 0
         payload = json.loads(out)
         assert payload["schema_version"] == 1
-        # the documented start num_modes + ceil(c/4) + 30, not doubled
-        assert payload["config"]["truncation"] == 3 + 0 + 30
+        # at c = 0 the off-diagonal is 0: the tail bound certifies the
+        # documented floor num_modes + 2, and the solve does not double
+        assert payload["config"]["truncation"] == 3 + 2
         chis = [row["chi"] for row in payload["results"]]
         assert chis == pytest.approx([0.75, 8.75, 24.75], abs=1e-12)
         # at c = 0 the transform is f -> <f, 1>_nu: lambda_{0,0} = 1, so

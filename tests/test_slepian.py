@@ -154,8 +154,9 @@ class TestSolveModes:
     @pytest.mark.parametrize("nu", [0.0, 1.5, 2.9])
     @pytest.mark.parametrize("c", [0.5, 5.0, 40.0, 80.0])
     def test_default_start_is_converged_and_not_doubled(self, nu, c, monkeypatch):
-        # K starts at num_modes + ceil(c/4) + 30; one matrix build per solve
-        # at that K, and a solve pinned at 2K agrees to 1e-12 (mu), 1e-13 (chi)
+        # K starts where the tail bound certifies it, never above the old
+        # start num_modes + ceil(c/4) + 30; one matrix build per solve at that
+        # K, and a solve pinned at 2K agrees to 1e-12 (mu), 1e-13 (chi)
         builds = []
         real_build = sl.build_spectral_matrix
         monkeypatch.setattr(sl, "build_spectral_matrix",
@@ -165,13 +166,54 @@ class TestSolveModes:
                 p = SlepianParams(nu=nu, c=c, N=N)
                 builds.clear()
                 modes = sl.solve_modes(p, num_modes)
-                K = num_modes + math.ceil(c / 4) + 30
-                assert builds == [K] and modes[0].truncation == K
+                K = modes[0].truncation
+                assert builds == [K] and K <= num_modes + math.ceil(c / 4) + 30
                 wide = sl.solve_modes(SlepianParams(nu=nu, c=c, N=N, truncation=2 * K),
                                       num_modes)
                 for a, b in zip(modes, wide):
                     assert abs(a.mu - b.mu) <= 1e-12 * abs(b.mu)
                     assert abs(a.chi - b.chi) <= 1e-13 * abs(b.chi)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.5, 2.9])
+    @pytest.mark.parametrize("c", [0.5, 5.0, 40.0, 80.0])
+    def test_certified_start_is_close_to_the_smallest_passing_truncation(self, nu, c):
+        # brute force: the smallest pinned K whose eigenvectors pass the tail
+        # check.  The solve starts at the bound's K, never below it and never
+        # doubling.  Where the bound certifies a K below the old start it is
+        # at most 10 rows above the smallest; at c = 80 with 10 modes the
+        # Gershgorin chi_ub is about 2.4 times chi_9 and K stays at the old
+        # start, 11-12 rows above
+        for N in range(5):
+            for num_modes in (10, 30):
+                p = SlepianParams(nu=nu, c=c, N=N)
+                ceiling = num_modes + math.ceil(c / 4) + 30
+                K = sl._certified_truncation(p, num_modes, ceiling)
+                assert sl.solve_modes(p, num_modes)[0].truncation == K
+                smallest = next(
+                    k for k in range(num_modes + 2, ceiling + 1)
+                    if sl._tails_ok(sl.symtri_eigen(sl.build_spectral_matrix(p, k),
+                                                    num_modes).vectors, p.tolerance))
+                assert smallest <= K
+                if c <= 40 or num_modes == 30:
+                    assert K < ceiling
+                assert K <= smallest + 10 or K == ceiling <= smallest + 12
+
+    def test_zero_bandwidth_start_is_the_floor(self):
+        # the off-diagonal vanishes: every factor of the tail bound is 0
+        for N, nu, num_modes in [(0, 0.0, 3), (4, 2.5, 12), (1, -0.5, 1)]:
+            p = SlepianParams(nu=nu, c=0.0, N=N)
+            assert sl._certified_truncation(p, num_modes, num_modes + 30) == num_modes + 2
+            assert sl.solve_modes(p, num_modes)[0].truncation == num_modes + 2
+
+    def test_uncertified_start_is_the_old_start(self):
+        # at c = 1000 the Gershgorin bound certifies nothing below the old
+        # start; the solve is the one made at that start
+        p = SlepianParams(nu=0.0, c=1000.0, N=3)
+        assert sl._certified_truncation(p, 10, 10 + 250 + 30) == 290
+        modes = sl.solve_modes(p, 10)
+        pinned = sl.solve_modes(SlepianParams(nu=0.0, c=1000.0, N=3, truncation=290), 10)
+        assert modes[0].truncation == 290
+        assert [m.mu for m in modes] == [m.mu for m in pinned]
 
     def test_leading_coeffs_refuse_an_exact_zero_pivot(self):
         # d_0 - chi = 0 exactly: the continued fraction has no finite ratio
@@ -237,6 +279,77 @@ class TestBasisTerms:
         assert np.all(terms.h[190:] == 0) and np.all(terms.h[:190] > 0)
         assert np.all(np.isnan(terms.scale[190:]))
         assert np.all(np.isfinite(terms.scale[:190]))
+
+
+class TestBasisRecord:
+    """The c-independent terms are slices of one record per (N, nu).  The
+    (N, nu) keys here are used by no other test, so the record state is
+    this test's own."""
+
+    def test_slices_equal_a_fresh_build_bitwise(self):
+        whole = sl._basis_terms(3, 0.7123, 90)
+        record = sl._basis_record(3, 0.7123, 0)
+        assert len(record.h) == 90
+        for K in (2, 17, 45, 89, 90):
+            got = sl._basis_terms(3, 0.7123, K)
+            fresh = sl._build_basis_terms(3, 0.7123, K)
+            for arr, ref, full in zip(got, fresh, whole):
+                assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes()
+                assert np.shares_memory(arr, full)
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+    def test_a_longer_truncation_rebuilds_the_record_once(self, monkeypatch):
+        builds = []
+        real = sl._build_basis_terms
+        monkeypatch.setattr(sl, "_build_basis_terms",
+                            lambda N, nu, K: builds.append(K) or real(N, nu, K))
+        for K in (20, 12, 20, 33, 25, 33):
+            sl._basis_terms(1, 0.3217, K)
+        assert builds == [20, 33]
+        assert len(sl._basis_record(1, 0.3217, 0).h) == 33
+
+    def test_warm_sweep_pass_misses_no_cache(self, monkeypatch):
+        # 48 ops as in the spectrum_sweep benchmark: 3 nu x 16 c, N = j % 5,
+        # 10 to 30 modes.  After a cold pass the solves find every record and
+        # every slice: no record is built and no slice is cut
+        ops = []
+        for j, c in enumerate(np.geomspace(0.5, 80.0, 48).tolist()):
+            modes = round(10 + 20 * math.log(c / 0.5) / math.log(160))
+            ops.append(((0.4131, 1.3127, 2.6173)[j % 3], c, j % 5, modes))
+        params = [(SlepianParams(nu=nu, c=c, N=N), m) for nu, c, N, m in ops]
+        cold = [sl.solve_modes(p, m) for p, m in params]
+        builds = []
+        real = sl._build_basis_terms
+        monkeypatch.setattr(sl, "_build_basis_terms",
+                            lambda N, nu, K: builds.append(K) or real(N, nu, K))
+        misses = sl._basis_terms.cache_info().misses
+        warm = [sl.solve_modes(p, m) for p, m in params]
+        assert builds == [] and sl._basis_terms.cache_info().misses == misses
+        for a, b in zip(cold, warm):
+            assert [m.mu for m in a] == [m.mu for m in b]
+
+    def test_evaluation_reads_the_solve_slice(self, monkeypatch):
+        p = SlepianParams(nu=0.9127, c=12.0, N=3)
+        modes = sl.solve_modes(p, 6)
+        K = modes[0].truncation
+        assert K < 6 + 3 + 30
+        seen = []
+        real = sl._basis_terms
+        monkeypatch.setattr(sl, "_basis_terms",
+                            lambda N, nu, K: seen.append(real(N, nu, K)) or seen[-1])
+        xs = np.linspace(0.05, 1.0, 7)
+        got = sl.eval_phi(modes[2], p, xs)
+        assert len(seen) == 1 and seen[0] is real(3, 0.9127, K)
+        assert np.shares_memory(seen[0].scale, sl._basis_record(3, 0.9127, 0).scale)
+        # the same sum with a fresh build's constants, in the same order
+        scale = sl._build_basis_terms(3, 0.9127, K).scale
+        P = jacobi_sequence(K - 1, 3, 0.9127, 1 - 2 * xs * xs)
+        acc = modes[2].coeffs[0] * scale[0] * P[0]
+        for k in range(1, K):
+            acc = acc + modes[2].coeffs[k] * scale[k] * P[k]
+        assert np.array_equal(got, xs ** 3.5 * acc)
 
 
 class TestEvaluation:
@@ -411,6 +524,30 @@ class TestLargeBandwidth:
 
 
 class TestParamsValidation:
+    @pytest.mark.parametrize("N", [2.0, 1.5, "2", None])
+    def test_non_integer_order_is_refused_at_construction(self, N):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            SlepianParams(nu=0.0, c=1.0, N=N)
+
+    @pytest.mark.parametrize("truncation", [40.5, 40.0])
+    def test_non_integer_truncation_is_refused_at_construction(self, truncation):
+        with pytest.raises(ValueError, match="truncation must be an integer"):
+            SlepianParams(nu=0.0, c=1.0, N=0, truncation=truncation)
+
+    @pytest.mark.parametrize("num_modes", [2.5, 3.0, "3"])
+    def test_non_integer_mode_count_is_refused_at_entry(self, num_modes):
+        with pytest.raises(ValueError, match="num_modes must be an integer"):
+            sl.solve_modes(SlepianParams(nu=0.0, c=1.0, N=0), num_modes)
+
+    def test_numpy_integers_are_taken_as_python_ints(self):
+        p = SlepianParams(nu=1.0, c=3.0, N=np.int64(2), truncation=np.int32(40))
+        assert type(p.N) is int and type(p.truncation) is int
+        got = sl.solve_modes(p, np.int64(3))
+        want = sl.solve_modes(SlepianParams(nu=1.0, c=3.0, N=2, truncation=40), 3)
+        assert len(got) == 3 and type(got[0].truncation) is int
+        assert [m.mu for m in got] == [m.mu for m in want]
+        assert [m.lam for m in got] == [m.lam for m in want]
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             SlepianParams(nu=-1.0, c=1.0, N=0)
