@@ -63,6 +63,12 @@ _MAX_TRUNCATION = 4096
 # (N, nu) records of c-independent terms kept by ``_basis_record``
 _BASIS_CACHE_SIZE = 64
 
+# the mu closed form weights A_k by h_k^(-1/2), which grows like
+# binom(k+N, N).  Past a growth of 1e7 over the rows kept (N >~ 5), mu
+# depends on eigenvector entries below roundoff and so moves with K, and
+# ``_certified_truncation`` keeps the old start
+_MAX_WEIGHT_GROWTH = 1e7
+
 
 class TruncationError(RuntimeError):
     """Truncation growth exceeded the hard cap (c unreasonably large)."""
@@ -316,6 +322,13 @@ def _certified_truncation(params, num_modes, ceiling):
     decreases, so the weighted factor is the larger and K also certifies
     the unweighted tail that ``_tails_ok`` checks.  A row that is not finite
     certifies nothing.
+
+    The bound covers truncation, not roundoff.  LAPACK resolves an
+    eigenvector entry only down to about 1e-16 of the largest (smaller ones
+    come back inexact or as 0), and the weights h_k^(-1/2) lift those
+    entries into the sum.  So for c > 0 a K whose weights grow by more than
+    _MAX_WEIGHT_GROWTH over its rows is not used, and the ceiling, the old
+    start, is returned.
     """
     c2 = params.c * params.c
     t = _basis_terms(params.N, params.nu, ceiling)
@@ -332,7 +345,11 @@ def _certified_truncation(params, num_modes, ceiling):
                                             e[k0 + 1:].tolist()), k0):
         prod *= a_k / (d_k - chi_ub - e_k)
         if prod < params.tolerance:
-            return max(k + 1, num_modes + 2)
+            K = max(k + 1, num_modes + 2)
+            # NaN weights (h_k underflowed) count as steep
+            if c2 == 0 or t.inv_sqrt_h[K - 1] <= _MAX_WEIGHT_GROWTH * t.inv_sqrt_h[0]:
+                return K
+            break
     return ceiling
 
 
@@ -360,6 +377,9 @@ def solve_modes(params, num_modes):
     true chi (c = 80 with 10 modes, and c = 200 or 1000), no K below the
     ceiling is certified and K is the ceiling; at c = 1000 the last
     |A_k| > 1e-12 max|A| sits near 170 for 10 modes and near 300 for 60.
+    K is the ceiling too where the weights h_k^(-1/2) of the mu closed form
+    grow by more than 1e7 over the certified rows (N >~ 5 at c > 0), since
+    mu moves with K by roundoff there.
     A pinned params.truncation (lifted to num_modes + 2) is not grown: if
     it fails that tail check, ConvergenceError is raised.
     """

@@ -180,9 +180,9 @@ class TestSolveModes:
         # brute force: the smallest pinned K whose eigenvectors pass the tail
         # check.  The solve starts at the bound's K, never below it and never
         # doubling.  Where the bound certifies a K below the old start it is
-        # at most 10 rows above the smallest; at c = 80 with 10 modes the
-        # Gershgorin chi_ub is about 2.4 times chi_9 and K stays at the old
-        # start, 11-12 rows above
+        # at most 10 rows above the smallest.  Only at c = 80 with 10 modes
+        # may it certify nothing (the Gershgorin chi_ub is about 2.4 times
+        # chi_9 there), and then K is the old start
         for N in range(5):
             for num_modes in (10, 30):
                 p = SlepianParams(nu=nu, c=c, N=N)
@@ -194,9 +194,10 @@ class TestSolveModes:
                     if sl._tails_ok(sl.symtri_eigen(sl.build_spectral_matrix(p, k),
                                                     num_modes).vectors, p.tolerance))
                 assert smallest <= K
-                if c <= 40 or num_modes == 30:
-                    assert K < ceiling
-                assert K <= smallest + 10 or K == ceiling <= smallest + 12
+                if K < ceiling:
+                    assert K <= smallest + 10
+                else:
+                    assert c == 80.0 and num_modes == 10
 
     def test_zero_bandwidth_start_is_the_floor(self):
         # the off-diagonal vanishes: every factor of the tail bound is 0
@@ -214,6 +215,29 @@ class TestSolveModes:
         pinned = sl.solve_modes(SlepianParams(nu=0.0, c=1000.0, N=3, truncation=290), 10)
         assert modes[0].truncation == 290
         assert [m.mu for m in modes] == [m.mu for m in pinned]
+
+    def test_steep_weights_keep_the_old_start(self):
+        # at N = 20 and 60 the weights h_k^(-1/2) grow past 1e7 over the rows
+        # the bound certifies: the solve is the one made at the old start
+        for nu, c, N, num_modes in [(0.0, 40.0, 60, 4), (2.5, 40.0, 20, 10),
+                                    (-0.5, 5.0, 60, 40)]:
+            p = SlepianParams(nu=nu, c=c, N=N)
+            ceiling = num_modes + math.ceil(c / 4) + 30
+            assert sl._certified_truncation(p, num_modes, ceiling) == ceiling
+            modes = sl.solve_modes(p, num_modes)
+            pinned = sl.solve_modes(SlepianParams(nu, c, N, truncation=ceiling), num_modes)
+            assert modes[0].truncation == ceiling
+            assert [m.mu for m in modes] == [m.mu for m in pinned]
+
+    def test_high_order_mu_against_double_double_nystrom(self):
+        # eigs --nu 0 --c 40 --N 60 --modes 4.  At the old start K = 44 mu_0
+        # is 1.4037728354e-9, 1.0e-9 above the oracle's 1.4037728339e-9 (the
+        # h_k^(-1/2)-weighted sum at high N); the certified K = 32 would give
+        # 1.4038212598e-9, off by 3.4e-5
+        modes = sl.solve_modes(SlepianParams(nu=0.0, c=40.0, N=60), 4)
+        ref = ops.nystrom_hankel_eigs(0.0, 40.0, 60, 300, 1)[0].value
+        assert modes[0].truncation == 44
+        assert abs(math.sqrt(40.0) * modes[0].mu - ref) <= 2e-9 * abs(ref)
 
     def test_leading_coeffs_refuse_an_exact_zero_pivot(self):
         # d_0 - chi = 0 exactly: the continued fraction has no finite ratio
