@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 from .linalg import EigenPair, Eigenpairs, SymTridiagonal, dense_sym_eigen, symtri_eigen
 from .operators import (apply_adjoint_fourier, apply_finite_hankel, apply_L,
                         apply_weighted_fourier, kernel_K, nystrom_hankel_eigs)
-from .orthopoly import (TBasisIndex, disk_poly, disk_poly_norm, gegenbauer2d,
-                        gegenbauer_c, jacobi_sequence, t_norm_sq, x2_recurrence_coeffs)
+from .orthopoly import disk_poly, disk_poly_norm, gegenbauer2d, gegenbauer_c, jacobi_sequence
 from .quadrature import DiskRule, QuadratureRule, disk_rule, gauss_jacobi, radial_rule
 from .slepian import (RadialMode, SlepianParams, build_spectral_matrix, chi0,
                       eval_phi, eval_psi, eval_R, solve_modes)
@@ -30,8 +29,7 @@ __all__ = [
     "EigenPair", "Eigenpairs", "SymTridiagonal", "dense_sym_eigen", "symtri_eigen",
     "apply_adjoint_fourier", "apply_finite_hankel", "apply_L",
     "apply_weighted_fourier", "kernel_K", "nystrom_hankel_eigs",
-    "TBasisIndex", "disk_poly", "disk_poly_norm", "gegenbauer2d",
-    "gegenbauer_c", "jacobi_sequence", "t_norm_sq", "x2_recurrence_coeffs",
+    "disk_poly", "disk_poly_norm", "gegenbauer2d", "gegenbauer_c", "jacobi_sequence",
     "DiskRule", "QuadratureRule", "disk_rule", "gauss_jacobi", "radial_rule",
     "RadialMode", "SlepianParams", "build_spectral_matrix", "chi0",
     "eval_phi", "eval_psi", "eval_R", "solve_modes",

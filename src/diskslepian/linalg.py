@@ -77,15 +77,6 @@ class SymTridiagonal:
         A.flat[K::K + 1] = self.offdiag
         return A
 
-    def norm_bound(self):
-        """Infinity-norm upper bound for ||T||_2."""
-        d, e = np.abs(self.diag), np.abs(self.offdiag)
-        row = d.copy()
-        if self.dim > 1:
-            row[:-1] += e
-            row[1:] += e
-        return float(np.max(row)) if self.dim else 0.0
-
 
 @dataclass(frozen=True)
 class EigenPair:

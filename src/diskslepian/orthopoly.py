@@ -1,15 +1,8 @@
 """Orthogonal polynomial families used by the disk spectral method.
 
-Jacobi and Gegenbauer polynomials, complex disk (Zernike-type) polynomials,
-two-variable Gegenbauer polynomials, and the norms and x^2 recurrence of
-the radial basis
-
-    T_{N,n}(x) = x^(N+1/2) * R_{N,n}(x),
-    R_{N,n}(x) = N! n!/(n+N)! * P_n^{(N,nu)}(1 - 2 x^2),
-
-which diagonalizes the radial differential operator at zero bandwidth.  All
-evaluation goes through three-term recurrences; hypergeometric sums appear
-only in test oracles.
+Jacobi and Gegenbauer polynomials, complex disk (Zernike-type) polynomials
+and two-variable Gegenbauer polynomials.  All evaluation goes through
+three-term recurrences; hypergeometric sums appear only in test oracles.
 
 Two printed-formula corrections are baked in (both are forced by the
 orthogonality/quadrature checks in the test suite):
@@ -19,35 +12,15 @@ orthogonality/quadrature checks in the test suite):
 * the inner argument of the two-variable Gegenbauer is y / sqrt(1 - x^2)
   (the variant with the roles of x and y mixed is inconsistent with the
   polar substitution x = cos(theta), y = cos(phi) sin(theta)).
-
-The x^2-multiplication coefficients for the T basis are derived from the
-Jacobi three-term recurrence under u = 1 - 2 x^2 rather than transcribed,
-so they are finite for every index (a naive b_0 is 0/0 when N = nu) and
-satisfy the self-adjointness identity a_n h_{n+1} = c_{n+1} h_n exactly.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TBasisIndex", "jacobi_values", "jacobi_term", "jacobi_sequence",
-           "gegenbauer_c", "disk_poly", "disk_poly_norm", "gegenbauer2d",
-           "t_norm_sq", "x2_recurrence_coeffs"]
-
-
-@dataclass(frozen=True)
-class TBasisIndex:
-    N: int
-    n: int
-    nu: float
-
-    def __post_init__(self):
-        if self.N < 0 or self.n < 0:
-            raise ValueError("T-basis indices must be >= 0")
-        if self.nu <= -1:
-            raise ValueError("T-basis weight exponent must exceed -1")
+__all__ = ["jacobi_values", "jacobi_term", "jacobi_sequence", "gegenbauer_c",
+           "disk_poly", "disk_poly_norm", "gegenbauer2d"]
 
 
 def jacobi_values(a, b, u):
@@ -170,36 +143,3 @@ def gegenbauer2d(n, k, nu, x, y):
     inner = gegenbauer_c(k, nu, y / s) if k > 0 else 1.0
     out = outer * s ** k * inner
     return out if out.ndim else float(out)
-
-
-def t_norm_sq(idx):
-    """h_{N,n} = integral_0^1 T^2 (1-x^2)^nu dx.
-
-    Derived from the Jacobi orthogonality under u = 1 - 2x^2; the derivation
-    is itself pinned by quadrature in the tests.
-    """
-    N, n, nu = idx.N, idx.n, idx.nu
-    log_h = (2 * math.lgamma(N + 1) + math.lgamma(n + 1) + math.lgamma(n + nu + 1)
-             - math.log(2) - math.log(2 * n + N + nu + 1)
-             - math.lgamma(n + N + 1) - math.lgamma(n + N + nu + 1))
-    return math.exp(log_h)
-
-
-def x2_recurrence_coeffs(idx):
-    """Coefficients (a, b, c) with x^2 T_{N,n} = a T_{N,n+1} + b T_{N,n} + c T_{N,n-1}.
-
-    Obtained from the Jacobi multiplication recurrence
-    u P_n = A_n P_{n+1} + B_n P_n + C_n P_{n-1} under u = 1 - 2 x^2 together
-    with the degree-dependent R normalization; c = 0 for n = 0 by convention.
-    """
-    N, n, nu = idx.N, idx.n, idx.nu
-    s = 2 * n + N + nu
-    a = -(n + N + 1) * (n + N + nu + 1) / ((s + 1) * (s + 2))
-    if n == 0:
-        b_jac = (nu - N) / (N + nu + 2)
-        c = 0.0
-    else:
-        b_jac = (nu * nu - N * N) / (s * (s + 2))
-        c = -n * (n + nu) / (s * (s + 1))
-    b = 0.5 * (1.0 - b_jac)
-    return a, b, c

@@ -40,7 +40,6 @@ raises ConvergenceError.
 
 import math
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -48,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import ConvergenceError, SymTridiagonal, symtri_eigen
-from .orthopoly import TBasisIndex, jacobi_values, t_norm_sq
+from .orthopoly import jacobi_values
 
 __all__ = ["SlepianParams", "RadialMode", "chi0", "build_spectral_matrix",
            "solve_modes", "eval_phi", "eval_R", "eval_psi", "TruncationError"]
@@ -59,9 +58,6 @@ _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 # ceiling of the truncation start, num_modes + ceil(c/4) + 30, must stay
 # under it, which admits c up to about 16000
 _MAX_TRUNCATION = 4096
-
-# (N, nu) records of c-independent terms kept by ``_basis_record``
-_BASIS_CACHE_SIZE = 64
 
 # the mu closed form weights A_k by h_k^(-1/2), which grows like
 # binom(k+N, N).  Past a growth of 1e7 over the rows kept (N >~ 5), mu
@@ -143,21 +139,14 @@ def chi0(N, n, nu):
     return (N + 2 * n + 0.5) * (N + 2 * nu + 2 * n + 1.5)
 
 
-def _log_norm_const(N, k, h_k):
-    """log of c-hat_k = (N! k!/(k+N)!) / sqrt(h_k)."""
-    log_c = math.lgamma(N + 1) + math.lgamma(k + 1) - math.lgamma(k + N + 1)
-    return log_c - 0.5 * math.log(h_k)
-
-
 class _BasisTerms(NamedTuple):
     """The c-independent terms of the truncation-K problem at (N, nu), each
-    a read-only array over k: the basis norms h_k = t_norm_sq, the
-    zero-bandwidth diagonal chi0(N, k, nu), the x^2 recurrence diagonal
-    beta_k = (1 - b_jac_k)/2 and off-diagonal a_k, the norm ratios
-    sqrt(h_{k+1}/h_k), h_k^(-1/2) for the mu closed form and the
-    evaluation constants c-hat_k = exp(_log_norm_const)."""
+    a read-only array over k: the zero-bandwidth diagonal chi0(N, k, nu),
+    the x^2 recurrence diagonal beta_k = (1 - b_jac_k)/2 and off-diagonal
+    a_k, the norm ratios sqrt(h_{k+1}/h_k), h_k^(-1/2) for the mu closed
+    form and the evaluation constants c-hat_k = (N! k!/(k+N)!) / sqrt(h_k),
+    where h_k = integral_0^1 T_{N,k}^2 (1-x^2)^nu dx."""
 
-    h: np.ndarray
     chi0: np.ndarray
     beta: np.ndarray
     a: np.ndarray
@@ -166,17 +155,34 @@ class _BasisTerms(NamedTuple):
     scale: np.ndarray
 
 
-def _build_basis_terms(N, nu, K):
-    """A fresh ``_BasisTerms`` record of (N, nu) at truncation K.  Every
-    entry depends on its own k alone, so a record's slice to a smaller K is
-    bitwise equal to the record built at that K.  Terms that are not finite
-    (h_k underflows at large N and k, nu >~ 1e154 overflows) are kept as inf
-    or NaN without a warning: the matrix build refuses them."""
-    h = np.array([t_norm_sq(TBasisIndex(N, k, nu)) for k in range(K)])
-    # NaN where h_k underflows to 0 (math.log refuses it); the build refuses
-    # such a record before any mode is made from it
-    scale = np.array([math.exp(_log_norm_const(N, k, h_k)) if h_k > 0 else math.nan
-                      for k, h_k in enumerate(h.tolist())])
+@lru_cache(maxsize=128)
+def _basis_terms(N, nu, K):
+    """The ``_BasisTerms`` of (N, nu) at truncation K.  The truncation bound,
+    the matrix build, the mu closed form and the eigenfunction evaluation
+    all read them, so a repeated solve pays only its c-dependent work.  A
+    solve reads two keys, the bound's ceiling and its K; the 48 solves of a
+    spectrum_sweep pass read about 90, so all of them stay cached.  Every
+    entry depends on its own k alone: a shorter K is a prefix, bitwise.
+
+    h_k = (N!)^2 k! Gamma(k+nu+1) / (2 (2k+N+nu+1) (k+N)! Gamma(k+N+nu+1))
+    follows from the Jacobi orthogonality under u = 1 - 2 x^2, and a_k and
+    b_jac_k from the Jacobi multiplication recurrence
+    u P_k = A_k P_{k+1} + B_k P_k + C_k P_{k-1} with the R normalization;
+    b_jac_0 is its own finite branch (the general form is 0/0 at N = nu = 0).
+    Terms that are not finite (h_k underflows to 0 at large N and k, and
+    nu >~ 1e154 overflows) are kept as inf or NaN without a warning: the
+    matrix build refuses them."""
+    # lgamma(j + 1) and lgamma(j + nu + 1) for j < K + N, read at j = k
+    # and j = k + N
+    lg = [math.lgamma(j + 1) for j in range(K + N)]
+    lg_nu = [math.lgamma(j + nu + 1) for j in range(K + N)]
+    lg_N, log2 = lg[N], math.log(2)
+    h = [math.exp(2 * lg_N + lg[k] + lg_nu[k] - log2 - math.log(2 * k + N + nu + 1)
+                  - lg[k + N] - lg_nu[k + N]) for k in range(K)]
+    # NaN where h_k underflows to 0 (math.log refuses it)
+    scale = [math.exp(lg_N + lg[k] - lg[k + N] - 0.5 * math.log(h_k)) if h_k > 0
+             else math.nan for k, h_k in enumerate(h)]
+    h = np.array(h)
     k = np.arange(K)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s = 2 * k + N + nu
@@ -184,43 +190,11 @@ def _build_basis_terms(N, nu, K):
         b_jac = np.empty(K)
         b_jac[0] = (nu - N) / (N + nu + 2)
         b_jac[1:] = (nu * nu - N * N) / (s[1:] * (s[1:] + 2))
-        terms = _BasisTerms(h, chi0(N, k, nu), 0.5 * (1.0 - b_jac), a,
-                            np.sqrt(h[1:] / h[:-1]), h ** -0.5, scale)
+        terms = _BasisTerms(chi0(N, k, nu), 0.5 * (1.0 - b_jac), a,
+                            np.sqrt(h[1:] / h[:-1]), h ** -0.5, np.array(scale))
     for arr in terms:
         arr.setflags(write=False)
     return terms
-
-
-_basis_records = OrderedDict()  # (N, nu) -> _BasisTerms, least recent first
-
-
-def _basis_record(N, nu, K):
-    """The one cached ``_BasisTerms`` record of (N, nu), at least K long.  It
-    is rebuilt at K when it is shorter, and the least recently used of more
-    than _BASIS_CACHE_SIZE records is dropped."""
-    record = _basis_records.pop((N, nu), None)
-    if record is None or len(record.h) < K:
-        record = _build_basis_terms(N, nu, K)
-    _basis_records[N, nu] = record
-    if len(_basis_records) > _BASIS_CACHE_SIZE:
-        _basis_records.popitem(last=False)
-    return record
-
-
-@lru_cache(maxsize=2 * _BASIS_CACHE_SIZE)
-def _basis_terms(N, nu, K):
-    """The ``_BasisTerms`` of (N, nu) at truncation K: read-only slices of
-    the (N, nu) record.  The truncation bound, the matrix build, the mu
-    closed form and the eigenfunction evaluation all read them, so a
-    repeated solve pays only its c-dependent work.  A solve reads two
-    truncations, the bound's ceiling and its K; a miss here costs a few
-    views, not a rebuild."""
-    record = _basis_record(N, nu, K)
-    if len(record.h) == K:
-        return record
-    h, chi0_k, beta, a, ratio, inv_sqrt_h, scale = record
-    return _BasisTerms(h[:K], chi0_k[:K], beta[:K], a[:K - 1], ratio[:K - 1],
-                       inv_sqrt_h[:K], scale[:K])
 
 
 def build_spectral_matrix(params, K):
@@ -228,13 +202,12 @@ def build_spectral_matrix(params, K):
 
     Diagonal d_k = chi0(N,k,nu) + c^2 b_k, off-diagonal
     e_k = c^2 a_k sqrt(h_{k+1}/h_k); symmetry is the self-adjointness
-    identity a_k h_{k+1} = c_{k+1} h_k of the x^2 recurrence.  a_k and b_k
-    are the expressions of ``x2_recurrence_coeffs`` evaluated over
-    k = 0..K-1 at once, with its k = 0 branch for b_0.  Everything but the
-    two products with c^2 comes from the cached ``_basis_terms`` of
-    (N, nu, K), so a repeated (N, nu) costs two array operations; the
-    returned arrays are new.  Raises ConvergenceError when an entry is not
-    finite.
+    identity a_k h_{k+1} = c_{k+1} h_k of the x^2 recurrence
+    x^2 T_k = a_k T_{k+1} + b_k T_k + c_k T_{k-1}.  Everything but the two
+    products with c^2 comes from the cached ``_basis_terms`` of (N, nu, K),
+    where a_k and b_k = beta_k are formed over k = 0..K-1 at once, so a
+    repeated (N, nu, K) costs two array operations; the returned arrays are
+    new.  Raises ConvergenceError when an entry is not finite.
     """
     if K < 2:
         raise ValueError("K must be >= 2")

@@ -4,13 +4,16 @@ Everything here recomputes expected values from first principles: extended
 precision series (mpmath), finite hypergeometric sums, adaptive Simpson
 quadrature, Sturm-sequence bisection for tridiagonal spectra, and an
 extended-precision eigensolve of the radial spectral matrix.  It also holds
-two reference implementations that the library does not use: the radial
-basis function T_{N,n} (``t_basis``) and the classical prolate operator
-(``apply_L_classical``), a separate code path for the weight-zero
-reduction of ``operators.apply_L``.
+reference implementations that the library does not use: the radial basis
+function T_{N,n} (``t_basis``), its norms (``t_norm_sq``) and x^2
+recurrence (``x2_recurrence_coeffs``) one index at a time, the scalar
+recipe that the library's array build is pinned to bitwise, and the
+classical prolate operator (``apply_L_classical``), a separate code path
+for the weight-zero reduction of ``operators.apply_L``.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -170,6 +173,55 @@ def slepian_mu_mp(nu, c, N, K, count, dps=80):
             tip = sum(Q[k, j] / mp.sqrt(h(k)) for k in range(K))
             out.append(float(pref * Q[0, j] / tip))
         return out
+
+
+@dataclass(frozen=True)
+class TBasisIndex:
+    N: int
+    n: int
+    nu: float
+
+    def __post_init__(self):
+        if self.N < 0 or self.n < 0:
+            raise ValueError("T-basis indices must be >= 0")
+        if self.nu <= -1:
+            raise ValueError("T-basis weight exponent must exceed -1")
+
+
+def t_norm_sq(idx):
+    """h_{N,n} = integral_0^1 T^2 (1-x^2)^nu dx.
+
+    Derived from the Jacobi orthogonality under u = 1 - 2x^2; the derivation
+    is itself pinned by quadrature in the tests.
+    """
+    N, n, nu = idx.N, idx.n, idx.nu
+    log_h = (2 * math.lgamma(N + 1) + math.lgamma(n + 1) + math.lgamma(n + nu + 1)
+             - math.log(2) - math.log(2 * n + N + nu + 1)
+             - math.lgamma(n + N + 1) - math.lgamma(n + N + nu + 1))
+    return math.exp(log_h)
+
+
+def x2_recurrence_coeffs(idx):
+    """Coefficients (a, b, c) with x^2 T_{N,n} = a T_{N,n+1} + b T_{N,n} + c T_{N,n-1}.
+
+    Derived, not transcribed, from the Jacobi multiplication recurrence
+    u P_n = A_n P_{n+1} + B_n P_n + C_n P_{n-1} under u = 1 - 2 x^2 together
+    with the degree-dependent R normalization, so they are finite for every
+    index (a naive b_0 is 0/0 when N = nu = 0) and satisfy the
+    self-adjointness identity a_n h_{n+1} = c_{n+1} h_n; c = 0 for n = 0 by
+    convention.
+    """
+    N, n, nu = idx.N, idx.n, idx.nu
+    s = 2 * n + N + nu
+    a = -(n + N + 1) * (n + N + nu + 1) / ((s + 1) * (s + 2))
+    if n == 0:
+        b_jac = (nu - N) / (N + nu + 2)
+        c = 0.0
+    else:
+        b_jac = (nu * nu - N * N) / (s * (s + 2))
+        c = -n * (n + nu) / (s * (s + 1))
+    b = 0.5 * (1.0 - b_jac)
+    return a, b, c
 
 
 def _log_r_const(N, n):

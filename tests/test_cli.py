@@ -265,12 +265,17 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
-    @pytest.mark.parametrize("nu", ["1e155", "1e160", "1e300"])
-    def test_overflowing_spectral_matrix_is_numerical_failure(self, capsys, nu):
+    @pytest.mark.parametrize("argv", [
+        *(("eigs", "--nu", nu, "--c", "1", "--N", "0", "--modes", "1")
+          for nu in ("1e155", "1e160", "1e300")),
+        ("eigs", "--nu", "0", "--c", "1000", "--N", "400", "--modes", "3"),
+    ], ids=["1e155", "1e160", "1e300", "N400"])
+    def test_overflowing_spectral_matrix_is_numerical_failure(self, capsys, argv):
         # the recurrence coefficients overflow for nu >~ 1e154; below that
-        # the |lambda| <= 1 guard refuses the solve
-        code, out = run_cli_out(capsys, "eigs", "--nu", nu, "--c", "1", "--N", "0",
-                                "--modes", "1")
+        # the |lambda| <= 1 guard refuses the solve.  At N = 400 the norms
+        # h_k underflow to 0 within the truncation, which leaves NaN norm
+        # ratios in the matrix, and the build refuses it
+        code, out = run_cli_out(capsys, *argv)
         assert code == 3
         assert out == ""
 

@@ -8,6 +8,16 @@ from diskslepian.linalg import (AsymmetryError, Eigenpairs, SymTridiagonal,
 import oracles
 
 
+def norm_bound(T):
+    """Infinity-norm upper bound for ||T||_2 of a SymTridiagonal."""
+    row = np.abs(T.diag)
+    if T.dim > 1:
+        e = np.abs(T.offdiag)
+        row[:-1] += e
+        row[1:] += e
+    return float(np.max(row)) if T.dim else 0.0
+
+
 def test_symtri_2x2_analytic():
     T = SymTridiagonal([2.0, 2.0], [-1.0])
     assert symtri_eigen(T, 2).values == pytest.approx([1.0, 3.0], abs=1e-14)
@@ -34,7 +44,7 @@ def test_symtri_residual_and_orthogonality():
     vals = eig.values
     assert np.all(np.diff(vals) >= 0)
     V = eig.vectors.T
-    norm = T.norm_bound()
+    norm = norm_bound(T)
     for val, vec in zip(vals, eig.vectors):
         assert np.linalg.norm(T.matvec(vec) - val * vec) <= 1e-11 * norm
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
@@ -72,13 +82,13 @@ def test_symtri_array_contract(K, count):
     assert not eig.values.flags.writeable and not eig.vectors.flags.writeable
     assert np.all(np.diff(eig.values) >= 0)
     ref = np.linalg.eigvalsh(T.to_dense())[:count]
-    assert np.max(np.abs(eig.values - ref)) <= 1e-12 * T.norm_bound()
+    assert np.max(np.abs(eig.values - ref)) <= 1e-12 * norm_bound(T)
     rows = np.arange(count)
     peak = np.argmax(np.abs(eig.vectors), axis=1)
     assert np.all(eig.vectors[rows, peak] > 0)
     assert np.max(np.abs(np.linalg.norm(eig.vectors, axis=1) - 1.0)) <= 1e-14
     for val, vec in zip(eig.values, eig.vectors):
-        assert np.linalg.norm(T.matvec(vec) - val * vec) <= 1e-11 * T.norm_bound()
+        assert np.linalg.norm(T.matvec(vec) - val * vec) <= 1e-11 * norm_bound(T)
 
 
 def test_symtri_count_validation():

@@ -5,12 +5,13 @@ import pytest
 
 from diskslepian import operators as ops
 from diskslepian import transforms as tr
-from diskslepian.orthopoly import TBasisIndex, jacobi_sequence
+from diskslepian.orthopoly import jacobi_sequence
 from diskslepian.quadrature import disk_rule, radial_rule
 from diskslepian.slepian import chi0
 from diskslepian.specfun import bessel_j, j_small, j_script
 
 import oracles
+from oracles import TBasisIndex
 
 J_1_2 = 0.5767248077568733872024482
 

@@ -7,11 +7,12 @@ import pytest
 
 from diskslepian import operators as ops
 from diskslepian import slepian as sl
-from diskslepian.orthopoly import TBasisIndex, jacobi_sequence, t_norm_sq
+from diskslepian.orthopoly import jacobi_sequence
 from diskslepian.quadrature import disk_rule, radial_rule
 from diskslepian.slepian import RadialMode, SlepianParams, TruncationError
 
 import oracles
+from oracles import TBasisIndex, t_norm_sq, x2_recurrence_coeffs
 
 _BENCH_ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
 _spec = importlib.util.spec_from_file_location("bench_oracle", _BENCH_ORACLE)
@@ -43,7 +44,6 @@ class TestSpectralMatrix:
     @pytest.mark.parametrize("nu,c,N", [(0.0, 1.0, 0), (1.0, 3.0, 2), (2.5, 0.5, 1)])
     def test_offdiagonal_symmetry_both_ways(self, nu, c, N):
         # e_k via a_k sqrt(h_{k+1}/h_k) must equal c_{k+1} sqrt(h_k/h_{k+1})
-        from diskslepian.orthopoly import x2_recurrence_coeffs
         p = SlepianParams(nu=nu, c=c, N=N)
         T = sl.build_spectral_matrix(p, 10)
         for k in range(9):
@@ -57,7 +57,6 @@ class TestSpectralMatrix:
     @pytest.mark.parametrize("K", [2, 3, 57])
     def test_array_build_matches_scalar_reference_bitwise(self, nu, N, K):
         # the scalar recipe, entry by entry; (0, 0) is the 0/0 case of b_0
-        from diskslepian.orthopoly import x2_recurrence_coeffs
         c = 7.3
         diag, off = [], []
         for k in range(K):
@@ -69,6 +68,16 @@ class TestSpectralMatrix:
         T = sl.build_spectral_matrix(SlepianParams(nu=nu, c=c, N=N), K)
         assert np.array_equal(T.diag, diag)
         assert np.array_equal(T.offdiag, off)
+        # the mu weights h_k^(-1/2) and the evaluation constants c-hat_k.
+        # numpy's array power and Python's float power can differ in the
+        # last bit, so the weights of the scalar norms are taken as an array
+        h = [t_norm_sq(TBasisIndex(N, k, nu)) for k in range(K)]
+        log_c = [math.lgamma(N + 1) + math.lgamma(k + 1) - math.lgamma(k + N + 1)
+                 for k in range(K)]
+        terms = sl._basis_terms(N, nu, K)
+        assert np.array_equal(terms.inv_sqrt_h, np.array(h) ** -0.5)
+        assert np.array_equal(terms.scale, [math.exp(lc - 0.5 * math.log(h_k))
+                                            for lc, h_k in zip(log_c, h)])
 
 
 class TestSolveModes:
@@ -117,7 +126,6 @@ class TestSolveModes:
 
     def test_weyl_style_perturbation_bound(self):
         # |chi(c) - chi(0)| <= c^2 * (inf-norm bound of the x^2 block)
-        from diskslepian.orthopoly import x2_recurrence_coeffs
         for (nu, c, N) in [(0.0, 1.0, 0), (1.0, 2.0, 1), (2.5, 0.5, 3)]:
             p = SlepianParams(nu=nu, c=c, N=N)
             modes = sl.solve_modes(p, 6)
@@ -280,6 +288,14 @@ class TestBasisTerms:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    def test_a_shorter_truncation_is_a_prefix_bitwise(self):
+        # every term depends on its own k alone, so the tail bound, which
+        # reads the ceiling's terms, sees the rows of the K it certifies
+        whole = sl._basis_terms(3, 0.7123, 90)
+        for K in (2, 17, 45, 89):
+            for arr, full in zip(sl._basis_terms(3, 0.7123, K), whole):
+                assert arr.tobytes() == full[:len(arr)].tobytes()
+
     @pytest.mark.parametrize("c", [0.0, 6.0])
     def test_writing_a_returned_matrix_leaves_later_solves_unchanged(self, c):
         p = SlepianParams(nu=1.0, c=c, N=2, truncation=40)
@@ -294,63 +310,32 @@ class TestBasisTerms:
 
     @pytest.mark.filterwarnings("error")
     def test_underflowed_norms_are_refused_without_warnings(self):
-        # h_k underflows to 0 from k = 190 at N = 400: the record keeps NaN
-        # ratios and c-hat_k, the build refuses them, and nothing warns
+        # h_k underflows to 0 from k = 190 at N = 400: the terms keep inf
+        # weights and NaN ratios and c-hat_k, the build refuses them, and
+        # nothing warns
         p = SlepianParams(nu=3.0, c=1000.0, N=400)
         with pytest.raises(sl.ConvergenceError, match="overflow"):
             sl.solve_modes(p, 5)
         terms = sl._basis_terms(400, 3.0, 285)
-        assert np.all(terms.h[190:] == 0) and np.all(terms.h[:190] > 0)
+        assert np.all(np.isposinf(terms.inv_sqrt_h[190:]))
+        assert np.all(np.isfinite(terms.inv_sqrt_h[:190]))
+        assert np.all(np.isnan(terms.ratio[190:]))
         assert np.all(np.isnan(terms.scale[190:]))
         assert np.all(np.isfinite(terms.scale[:190]))
 
-
-class TestBasisRecord:
-    """The c-independent terms are slices of one record per (N, nu).  The
-    (N, nu) keys here are used by no other test, so the record state is
-    this test's own."""
-
-    def test_slices_equal_a_fresh_build_bitwise(self):
-        whole = sl._basis_terms(3, 0.7123, 90)
-        record = sl._basis_record(3, 0.7123, 0)
-        assert len(record.h) == 90
-        for K in (2, 17, 45, 89, 90):
-            got = sl._basis_terms(3, 0.7123, K)
-            fresh = sl._build_basis_terms(3, 0.7123, K)
-            for arr, ref, full in zip(got, fresh, whole):
-                assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes()
-                assert np.shares_memory(arr, full)
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 0.0
-
-    def test_a_longer_truncation_rebuilds_the_record_once(self, monkeypatch):
-        builds = []
-        real = sl._build_basis_terms
-        monkeypatch.setattr(sl, "_build_basis_terms",
-                            lambda N, nu, K: builds.append(K) or real(N, nu, K))
-        for K in (20, 12, 20, 33, 25, 33):
-            sl._basis_terms(1, 0.3217, K)
-        assert builds == [20, 33]
-        assert len(sl._basis_record(1, 0.3217, 0).h) == 33
-
-    def test_warm_sweep_pass_misses_no_cache(self, monkeypatch):
+    def test_warm_sweep_pass_misses_no_cache(self):
         # 48 ops as in the spectrum_sweep benchmark: 3 nu x 16 c, N = j % 5,
-        # 10 to 30 modes.  After a cold pass the solves find every record and
-        # every slice: no record is built and no slice is cut
+        # 10 to 30 modes.  After a cold pass the solves find every
+        # (N, nu, K) in the cache: nothing is built
         ops = []
         for j, c in enumerate(np.geomspace(0.5, 80.0, 48).tolist()):
             modes = round(10 + 20 * math.log(c / 0.5) / math.log(160))
             ops.append(((0.4131, 1.3127, 2.6173)[j % 3], c, j % 5, modes))
         params = [(SlepianParams(nu=nu, c=c, N=N), m) for nu, c, N, m in ops]
         cold = [sl.solve_modes(p, m) for p, m in params]
-        builds = []
-        real = sl._build_basis_terms
-        monkeypatch.setattr(sl, "_build_basis_terms",
-                            lambda N, nu, K: builds.append(K) or real(N, nu, K))
         misses = sl._basis_terms.cache_info().misses
         warm = [sl.solve_modes(p, m) for p, m in params]
-        assert builds == [] and sl._basis_terms.cache_info().misses == misses
+        assert sl._basis_terms.cache_info().misses == misses
         for a, b in zip(cold, warm):
             assert [m.mu for m in a] == [m.mu for m in b]
 
@@ -366,9 +351,8 @@ class TestBasisRecord:
         xs = np.linspace(0.05, 1.0, 7)
         got = sl.eval_phi(modes[2], p, xs)
         assert len(seen) == 1 and seen[0] is real(3, 0.9127, K)
-        assert np.shares_memory(seen[0].scale, sl._basis_record(3, 0.9127, 0).scale)
         # the same sum with a fresh build's constants, in the same order
-        scale = sl._build_basis_terms(3, 0.9127, K).scale
+        scale = real.__wrapped__(3, 0.9127, K).scale
         P = jacobi_sequence(K - 1, 3, 0.9127, 1 - 2 * xs * xs)
         acc = modes[2].coeffs[0] * scale[0] * P[0]
         for k in range(1, K):
