@@ -11,13 +11,14 @@ added here is the ordering, sign and residual conventions that the rest of
 the package relies on:
 
 * ``symtri_eigen``  -- eigenvalues ascending (Sturm-Liouville convention),
-  returned as arrays: an ``Eigenpairs`` of the (count,) values and a
-  read-only (count, K) array whose rows are the eigenvectors,
+  returned as read-only arrays: an ``Eigenpairs`` of the (count,) values,
+  the (count, K) eigenvectors as rows and each row's ``peak`` index,
 * ``dense_sym_eigen`` -- eigenvalues by descending magnitude (integral-operator
-  convention), returned as a list of ``EigenPair``,
-* deterministic eigenvector sign: the component of largest magnitude is made
-  positive; each vector is scaled to unit norm by sqrt(v . v), as
-  ``numpy.linalg.norm`` computes it, in one divide by +-sqrt(v . v),
+  convention), returned as a list of ``EigenPair`` with read-only vectors,
+* deterministic eigenvector sign: each vector is LAPACK's column times +-1,
+  found in one pass, so that its component of largest magnitude (at
+  ``peak``) is positive.  LAPACK's vectors are unit to roundoff (within
+  2e-15 on the solver's test grid) and are not rescaled,
 * per-pair residual ||T v - lambda v|| <= 1e-11 ||T||, eigenvectors mutually
   orthogonal to 1e-10 (checked by the test suite, not at runtime).
 """
@@ -88,11 +89,14 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class Eigenpairs:
-    """``count`` eigenpairs as arrays: values (count,) and the unit
-    eigenvectors as the rows of vectors (count, K).  len() is count."""
+    """``count`` eigenpairs as arrays: values (count,), the unit
+    eigenvectors as the rows of vectors (count, K), and peak (count,), the
+    index of each row's largest |entry|, where the entry is positive.
+    len() is count."""
 
     values: np.ndarray
     vectors: np.ndarray
+    peak: np.ndarray
 
     def __len__(self):
         return len(self.values)
@@ -100,8 +104,8 @@ class Eigenpairs:
 
 def _eigen_rows(A, count, by_magnitude=False):
     """First ``count`` eigenpairs of symmetric A, values ascending or by
-    descending magnitude: (values, C-contiguous rows of sign-fixed unit
-    vectors)."""
+    descending magnitude: (values, read-only C-contiguous rows of
+    sign-fixed unit vectors, peak index of each row)."""
     if count < 1 or count > len(A):
         raise ValueError(f"count must be in [1, {len(A)}], got {count}")
     try:
@@ -109,21 +113,17 @@ def _eigen_rows(A, count, by_magnitude=False):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(-np.abs(vals), kind="stable")[:count] if by_magnitude else slice(count)
-    rows = vecs[:, order].T.copy()
-    peak = np.argmax(np.abs(rows), axis=1)
-    # flip and normalise in one divide: -v / s and v / -s are the same
-    # doubles, and v . v does not see the sign
-    sign = np.where(rows[np.arange(count), peak] < 0, -1.0, 1.0)
-    rows /= (sign * np.sqrt([v.dot(v) for v in rows]))[:, None]
-    return vals[order], rows
+    vals, rows = vals[order], vecs[:, order].T.copy()
+    peak = np.abs(rows).argmax(axis=1)
+    rows *= np.copysign(1.0, rows[np.arange(count), peak])[:, None]
+    for arr in (vals, rows, peak):
+        arr.setflags(write=False)
+    return vals, rows, peak
 
 
 def symtri_eigen(T, count):
     """Lowest ``count`` eigenpairs of a SymTridiagonal, values ascending."""
-    vals, rows = _eigen_rows(T.to_dense(), count)
-    vals.setflags(write=False)
-    rows.setflags(write=False)
-    return Eigenpairs(vals, rows)
+    return Eigenpairs(*_eigen_rows(T.to_dense(), count))
 
 
 def dense_sym_eigen(A, count, sym_tol=1e-12):
@@ -134,5 +134,5 @@ def dense_sym_eigen(A, count, sym_tol=1e-12):
     scale = np.max(np.abs(A))
     if scale > 0 and np.max(np.abs(A - A.T)) > sym_tol * scale:
         raise AsymmetryError("matrix is not symmetric to relative 1e-12")
-    vals, rows = _eigen_rows(0.5 * (A + A.T), count, by_magnitude=True)
+    vals, rows, _ = _eigen_rows(0.5 * (A + A.T), count, by_magnitude=True)
     return [EigenPair(float(v), row) for v, row in zip(vals, rows)]

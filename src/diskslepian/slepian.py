@@ -225,28 +225,28 @@ def build_spectral_matrix(params, K):
             f"spectral matrix entries overflow at nu={nu}, c={c}, N={N}") from exc
 
 
-def _tails_ok(vecs, tolerance):
-    """No row of vecs has a last entry above tolerance times its largest."""
-    v = np.abs(vecs)
-    return not np.any(v[:, -1] > tolerance * np.max(v, axis=1))
+def _tails_ok(eig, tolerance):
+    """No row of eig.vectors has a last entry above tolerance times its
+    largest, the positive entry at eig.peak."""
+    v = eig.vectors
+    return not np.any(np.abs(v[:, -1]) > tolerance * v[np.arange(len(v)), eig.peak])
 
 
-def _leading_coeffs(T, chi, vecs):
-    """A_0 of each eigenpair (values chi, vectors the rows of vecs), from
-    its peak coefficient A_m.
+def _leading_coeffs(T, eig):
+    """A_0 of each eigenpair of ``eig`` (an ``Eigenpairs`` of T), from its
+    peak coefficient A_m, m = eig.peak.
 
     Rows 0..m-1 of (T - chi) A = 0 give the ratios r_k = A_k / A_{k+1} by
     the continued fraction r_k = -e_k / (d_k - chi + e_{k-1} r_{k-1}), so
-    A_0 = A_m r_0 ... r_{m-1}.  This keeps full relative accuracy where A_0
-    is far below the eigenvector's roundoff level (small c, high n), which
-    the LAPACK component does not.  The fraction runs in Python floats, one
-    mode at a time: m is a few dozen, where a numpy call per step costs
-    more than the arithmetic.
+    A_0 = A_m r_0 ... r_{m-1}, at the scale of the vector.  This keeps full
+    relative accuracy where A_0 is far below the eigenvector's roundoff
+    level (small c, high n), which the LAPACK component does not.  The
+    fraction runs in Python floats, one mode at a time: m is a few dozen,
+    where a numpy call per step costs more than the arithmetic.
     """
-    peak = np.argmax(np.abs(vecs), axis=1)
     d, e = T.diag.tolist(), T.offdiag.tolist()
     prods = []
-    for x, m in zip(chi.tolist(), peak.tolist()):
+    for x, m in zip(eig.values.tolist(), eig.peak.tolist()):
         prod, r = 1.0, 0.0
         try:
             for k in range(m):
@@ -255,12 +255,13 @@ def _leading_coeffs(T, chi, vecs):
         except ZeroDivisionError:  # an exact zero pivot: mu is refused as NaN
             prod = math.nan
         prods.append(prod)
-    return vecs[np.arange(len(prods)), peak] * np.array(prods)
+    return eig.vectors[np.arange(len(prods)), eig.peak] * np.array(prods)
 
 
 def _mu_values(params, T, eig):
     """mu of each eigenpair of ``eig`` (an ``Eigenpairs``) by the closed
-    form of the module docstring."""
+    form of the module docstring.  A_0 and sum_k A_k h_k^(-1/2) both scale
+    with the vector, so mu does not depend on its norm."""
     nu, c, N = params.nu, params.c, params.N
     if c == 0:
         # T is diagonal, A = e_n: mu = 1/(2 (nu+1)) for N = n = 0, else 0
@@ -271,9 +272,8 @@ def _mu_values(params, T, eig):
     inv_sqrt_h = _basis_terms(N, nu, T.dim).inv_sqrt_h
     log_pref = (N * math.log(c) + math.lgamma(nu + 1) - (N + 1) * math.log(2.0)
                 - math.lgamma(N + nu + 2) + math.log(inv_sqrt_h[0]))
-    vecs = eig.vectors
-    return (math.exp(log_pref) * _leading_coeffs(T, eig.values, vecs)
-            / (vecs @ inv_sqrt_h))
+    return (math.exp(log_pref) * _leading_coeffs(T, eig)
+            / (eig.vectors @ inv_sqrt_h))
 
 
 def _certified_truncation(params, num_modes, ceiling):
@@ -370,7 +370,7 @@ def solve_modes(params, num_modes):
     while True:
         T = build_spectral_matrix(params, K)
         eig = symtri_eigen(T, num_modes)
-        if _tails_ok(eig.vectors, params.tolerance):
+        if _tails_ok(eig, params.tolerance):
             break
         if params.truncation is not None:
             raise ConvergenceError(
@@ -382,14 +382,13 @@ def solve_modes(params, num_modes):
         K *= 2
 
     mus = _mu_values(params, T, eig)
-    lams = 2 * (nu + 1) * _I_POW[N % 4] * mus
-    if not np.all(np.abs(lams) <= 1 + 1e-12):  # also refuses NaN
+    lam_max = np.abs(mus).max() * (2 * (nu + 1))  # |lambda| = 2 (nu+1) |mu|
+    if not lam_max <= 1 + 1e-12:  # also refuses NaN
         raise ConvergenceError(
-            f"|lambda| = {np.max(np.abs(lams)):.3g} exceeds 1 at nu={nu}, c={c}, N={N}")
-    return [RadialMode(n, chi, mu, lam, coeffs, K)
-            for n, (chi, mu, lam, coeffs)
-            in enumerate(zip(eig.values.tolist(), mus.tolist(), lams.tolist(),
-                             eig.vectors))]
+            f"|lambda| = {lam_max:.3g} exceeds 1 at nu={nu}, c={c}, N={N}")
+    lams = 2 * (nu + 1) * _I_POW[N % 4] * mus
+    return list(map(RadialMode, range(num_modes), eig.values.tolist(), mus.tolist(),
+                    lams.tolist(), eig.vectors, [K] * num_modes))
 
 
 def _eval_sum(mode, params, x, radial_power):

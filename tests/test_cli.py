@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -236,10 +237,12 @@ class TestExitCodes:
         assert run_cli("eigs", "--nu", "0", "--c", "1e9", "--N", "0",
                        "--modes", "1") == 3
 
-    def test_lambda_above_one_is_numerical_failure(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("mu", [0.75, -0.75, math.nan])
+    def test_lambda_above_one_is_numerical_failure(self, capsys, monkeypatch, mu):
+        # |lambda| = 2 (nu+1) |mu| = 1.5 at nu = 0, or NaN
         from diskslepian import slepian as sl
         monkeypatch.setattr(sl, "_mu_values",
-                            lambda params, T, pairs: np.full(len(pairs), 0.75))
+                            lambda params, T, pairs: np.full(len(pairs), mu))
         code, out = run_cli_out(capsys, "eigs", "--nu", "0", "--c", "1",
                                 "--N", "0", "--modes", "2")
         assert code == 3

@@ -134,12 +134,10 @@ def test_dense_asymmetry_error():
         dense_sym_eigen(A, 1)
 
 
-def _flip_then_divide(A, count, by_magnitude=False):
-    # the two-step sign rule: negate rows whose largest component is
-    # negative, then divide each by sqrt(v . v)
-    vals, vecs = np.linalg.eigh(A)
-    order = np.argsort(-np.abs(vals), kind="stable")[:count] if by_magnitude else slice(count)
-    rows = vecs[:, order].T.copy()
+def _flip_then_divide(A, count):
+    # the two-step recipe of earlier releases: negate rows whose largest
+    # component is negative, then divide each by sqrt(v . v)
+    rows = np.linalg.eigh(A)[1][:, :count].T.copy()
     peak = np.argmax(np.abs(rows), axis=1)
     flip = rows[np.arange(count), peak] < 0
     rows[flip] *= -1.0
@@ -147,23 +145,73 @@ def _flip_then_divide(A, count, by_magnitude=False):
     return rows, int(np.sum(flip))
 
 
+def _assert_signed_lapack_rows(rows, peak, cols):
+    # each row is exactly +-1 times LAPACK's column and its largest |entry|,
+    # at peak, is positive; returns the number of rows negated
+    count = len(rows)
+    assert np.array_equal(peak, np.argmax(np.abs(rows), axis=1))
+    assert np.all(rows[np.arange(count), peak] > 0)
+    flipped = 0
+    for row, col in zip(rows, cols.T):
+        assert np.array_equal(row, col) or np.array_equal(row, -col)
+        flipped += not np.array_equal(row, col)
+    return flipped
+
+
 @pytest.mark.parametrize("K,count", [(2, 1), (9, 9), (60, 12), (80, 40)])
-def test_signed_divide_matches_flip_then_divide_bitwise(K, count):
+def test_rows_are_sign_fixed_lapack_columns(K, count):
     rng = np.random.default_rng(100 + K)
     T = SymTridiagonal(rng.normal(size=K), rng.normal(size=K - 1))
     dense = np.diag(T.diag) + np.diag(T.offdiag, 1) + np.diag(T.offdiag, -1)
     assert np.array_equal(T.to_dense(), dense)
-    ref, _ = _flip_then_divide(dense, count)
-    assert np.array_equal(symtri_eigen(T, count).vectors, ref)
+    vals, vecs = np.linalg.eigh(dense)
+    eig = symtri_eigen(T, count)
+    assert np.array_equal(eig.values, vals[:count])
+    assert eig.vectors.flags.c_contiguous and not eig.vectors.flags.writeable
+    assert eig.peak.shape == (count,) and not eig.peak.flags.writeable
+    _assert_signed_lapack_rows(eig.vectors, eig.peak, vecs[:, :count])
     A = rng.normal(size=(K, K))
     A = 0.5 * (A + A.T)
-    ref, _ = _flip_then_divide(A, count, by_magnitude=True)
-    assert np.array_equal(np.array([p.vector for p in dense_sym_eigen(A, count)]), ref)
+    vals, vecs = np.linalg.eigh(A)
+    order = np.argsort(-np.abs(vals), kind="stable")[:count]
+    pairs = dense_sym_eigen(A, count)
+    mags = [abs(p.value) for p in pairs]
+    assert mags == sorted(mags, reverse=True)
+    assert [p.value for p in pairs] == vals[order].tolist()
+    assert all(p.vector.flags.c_contiguous and not p.vector.flags.writeable for p in pairs)
+    rows = np.array([p.vector for p in pairs])
+    _assert_signed_lapack_rows(rows, np.argmax(np.abs(rows), axis=1), vecs[:, order])
 
 
-def test_signed_divide_matches_flip_then_divide_on_spectral_matrix():
+def test_sign_rule_acts_on_a_spectral_matrix():
     from diskslepian.slepian import SlepianParams, build_spectral_matrix
     T = build_spectral_matrix(SlepianParams(nu=0.7, c=23.0, N=3), 52)
-    ref, flipped = _flip_then_divide(T.to_dense(), 20)
+    eig = symtri_eigen(T, 20)
+    flipped = _assert_signed_lapack_rows(eig.vectors, eig.peak,
+                                         np.linalg.eigh(T.to_dense())[1][:, :20])
     assert flipped > 0  # the sign rule acts on this case
-    assert np.array_equal(symtri_eigen(T, 20).vectors, ref)
+    ref, ref_flipped = _flip_then_divide(T.to_dense(), 20)
+    assert flipped == ref_flipped
+    # LAPACK's rows are unit to roundoff, so renormalising them moves no
+    # entry by more than the unit-norm tolerance
+    assert np.max(np.abs(eig.vectors - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.5, 2.9])
+@pytest.mark.parametrize("c", [0.5, 5.0, 40.0, 80.0])
+def test_mu_does_not_need_renormalised_vectors(nu, c):
+    # mu from the sign-fixed LAPACK rows against mu from the same matrix's
+    # flipped and renormalised rows: A_0 and sum_k A_k h_k^(-1/2) both
+    # scale with the vector, so they agree to a few roundoffs
+    from diskslepian import slepian as sl
+    for N in range(5):
+        for num_modes in (10, 30):
+            p = sl.SlepianParams(nu=nu, c=c, N=N)
+            K = sl.solve_modes(p, num_modes)[0].truncation
+            T = sl.build_spectral_matrix(p, K)
+            eig = symtri_eigen(T, num_modes)
+            ref, _ = _flip_then_divide(T.to_dense(), num_modes)
+            ref_eig = Eigenpairs(eig.values, ref, np.argmax(np.abs(ref), axis=1))
+            mu = sl._mu_values(p, T, eig)
+            mu_ref = sl._mu_values(p, T, ref_eig)
+            assert np.all(np.abs(mu - mu_ref) <= 4e-15 * np.abs(mu_ref))

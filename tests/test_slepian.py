@@ -200,7 +200,7 @@ class TestSolveModes:
                 smallest = next(
                     k for k in range(num_modes + 2, ceiling + 1)
                     if sl._tails_ok(sl.symtri_eigen(sl.build_spectral_matrix(p, k),
-                                                    num_modes).vectors, p.tolerance))
+                                                    num_modes), p.tolerance))
                 assert smallest <= K
                 if K < ceiling:
                     assert K <= smallest + 10
@@ -249,10 +249,10 @@ class TestSolveModes:
 
     def test_leading_coeffs_refuse_an_exact_zero_pivot(self):
         # d_0 - chi = 0 exactly: the continued fraction has no finite ratio
-        from diskslepian.linalg import SymTridiagonal
+        from diskslepian.linalg import Eigenpairs, SymTridiagonal
         T = SymTridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])
         vecs = np.array([[0.1, 0.2, 0.9], [0.1, 0.9, 0.2]])
-        a0 = sl._leading_coeffs(T, np.array([1.0, 2.5]), vecs)
+        a0 = sl._leading_coeffs(T, Eigenpairs(np.array([1.0, 2.5]), vecs, np.array([2, 1])))
         assert math.isnan(a0[0])
         assert a0[1] == 0.9 * (-0.5 / (1.0 - 2.5))
 
