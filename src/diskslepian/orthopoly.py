@@ -19,8 +19,31 @@ import math
 
 import numpy as np
 
-__all__ = ["jacobi_values", "jacobi_term", "jacobi_sequence", "gegenbauer_c",
-           "disk_poly", "disk_poly_norm", "gegenbauer2d"]
+__all__ = ["jacobi_recurrence", "jacobi_values", "jacobi_term", "jacobi_sequence",
+           "gegenbauer_c", "disk_poly", "disk_poly_norm", "gegenbauer2d"]
+
+
+def jacobi_recurrence(n, a, b):
+    """Monic recurrence coefficients (alpha[0:n], beta[0:n]) of the weight
+    (1-u)^a (1+u)^b on (-1,1), with beta[0] the total mass, formed in log
+    space so that it stays finite where Gamma(a+1) overflows (a >~ 170).
+    alpha and sqrt(beta[1:]) make the orthonormal Jacobi matrix J, the
+    multiplication by u, whose eigenvalues are the Gauss nodes.  Entry k
+    depends on k alone: a shorter n is a prefix, bitwise.  k = 0 (0/0 at
+    a + b = 0) and k = 1 (0/0 at a + b = -1) take finite branches.
+    """
+    apb = a + b
+    k = np.arange(n, dtype=float)
+    den = 2 * k + apb
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = (b * b - a * a) / (den * (den + 2))
+        beta = 4 * k * (k + a) * (k + b) * (k + apb) / (den * den * (den + 1) * (den - 1))
+        beta[0] = np.exp((apb + 1) * math.log(2.0) + math.lgamma(a + 1)
+                         + math.lgamma(b + 1) - math.lgamma(apb + 2))
+    alpha[0] = (b - a) / (apb + 2)
+    if n > 1:
+        beta[1] = 4 * (a + 1) * (b + 1) / ((apb + 2) * (apb + 2) * (apb + 3))
+    return alpha, beta
 
 
 def jacobi_values(a, b, u):

@@ -1,7 +1,9 @@
 """Gauss-Jacobi quadrature, its map to the radial weight, and the polar disk rule.
 
 Every rule comes from the Jacobi matrix of the closed-form Jacobi recurrence
-(Golub-Welsch), without its eigenvectors:
+(Golub-Welsch), without its eigenvectors.  The recurrence is
+``orthopoly.jacobi_recurrence``, the one the spectral solver builds its
+matrix from:
 
 * nodes are the eigenvalues (``numpy.linalg.eigvalsh``), refined by one
   Newton step on p_n(x) = 0;
@@ -32,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import SymTridiagonal
-from .specfun import gamma_fn
+from .orthopoly import jacobi_recurrence
 
 __all__ = ["QuadratureRule", "DiskRule", "gauss_jacobi", "radial_rule", "disk_rule"]
 
@@ -100,8 +102,8 @@ def _orthonormal_sweep(x, alpha, sqrt_beta, mass):
 
 
 def _golub_welsch(alpha, beta):
-    """Gauss rule on (-1,1) from monic recurrence coefficients alpha_k,
-    beta_k (k>=1) and the mass beta_0.
+    """Gauss rule on (-1,1) from the arrays of monic recurrence coefficients
+    alpha_k, beta_k (k>=1) and the mass beta_0.
 
     The Newton step h is of the size of the eigensolver's roundoff, so the
     Christoffel sum is carried to the refined node to first order, s - h s',
@@ -110,33 +112,11 @@ def _golub_welsch(alpha, beta):
     scale of 1 - x, and re-evaluation puts 3.6e-13 into the mass of
     gauss_jacobi(240, -0.9, 0) (4e-15 when carried).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    sqrt_beta = np.sqrt(np.asarray(beta[1:len(alpha)], dtype=float))
+    sqrt_beta = np.sqrt(beta[1:])
     nodes = np.linalg.eigvalsh(SymTridiagonal(alpha, sqrt_beta).to_dense())
     q, dq, s, ds = _orthonormal_sweep(nodes, alpha, sqrt_beta, beta[0])
     h = q / dq
     return QuadratureRule(nodes - h, 1.0 / (s - h * ds), (-1.0, 1.0))
-
-
-@lru_cache(maxsize=256)
-def _jacobi_recurrence(n, a, b):
-    """Monic recurrence coefficients for the weight (1-x)^a (1+x)^b on (-1,1).
-
-    Returns (alpha[0:n], beta[0:n]) with beta[0] = total mass.
-    """
-    alpha = np.zeros(n)
-    beta = np.zeros(n)
-    apb = a + b
-    alpha[0] = (b - a) / (apb + 2)
-    beta[0] = 2.0 ** (apb + 1) * gamma_fn(a + 1) * gamma_fn(b + 1) / gamma_fn(apb + 2)
-    if n > 1:
-        alpha[1] = (b * b - a * a) / ((2 + apb) * (4 + apb))
-        beta[1] = 4 * (a + 1) * (b + 1) / ((apb + 2) ** 2 * (apb + 3))
-    for k in range(2, n):
-        den = 2 * k + apb
-        alpha[k] = (b * b - a * a) / (den * (den + 2))
-        beta[k] = 4 * k * (k + a) * (k + b) * (k + apb) / (den * den * (den + 1) * (den - 1))
-    return alpha, beta
 
 
 @lru_cache(maxsize=256)
@@ -146,7 +126,7 @@ def gauss_jacobi(n, a, b):
         raise ValueError("n must be >= 1")
     if a <= -1 or b <= -1:
         raise ValueError("Jacobi weight needs a > -1 and b > -1")
-    return _golub_welsch(*_jacobi_recurrence(n, float(a), float(b)))
+    return _golub_welsch(*jacobi_recurrence(n, float(a), float(b)))
 
 
 @lru_cache(maxsize=256)

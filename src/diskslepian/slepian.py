@@ -6,11 +6,14 @@ eigenbasis
 
     T_{N,k}(x) = x^(N+1/2) * N! k!/(k+N)! * P_k^{(N,nu)}(1 - 2 x^2),
 
-in which the commuting differential operator Lambda = -L_{c,N,nu} acts as a
-symmetric tridiagonal matrix (diagonal: zero-bandwidth eigenvalue plus
-c^2 * b_k; off-diagonal: c^2 * a_k scaled by the basis norms).  Eigenvalues
-chi are the Sturm-Liouville spectrum; eigenvectors are the expansion
-coefficients A_k in the orthonormalized basis T_k / sqrt(h_k).
+in which the commuting differential operator Lambda = -L_{c,N,nu} acts as
+Lambda = diag(chi0(N, k, nu)) + c^2 (I - J)/2: under u = 1 - 2 x^2 the
+T_k / sqrt(h_k) are x^(N+1/2) times the orthonormal Jacobi polynomials of
+(1-u)^N (1+u)^nu, J is their Jacobi matrix (``orthopoly.jacobi_recurrence``,
+as for the Gauss rules) and x^2 = (1-u)/2.  J has its spectrum in (-1, 1),
+so every truncation has chi0(N, n, nu) <= chi_n <= chi0(N, n, nu) + c^2.
+Eigenvalues chi are the Sturm-Liouville spectrum; eigenvectors are the
+expansion coefficients A_k in the orthonormalized basis.
 
 Sign convention: the paper-facing operator L satisfies L T = -chi T at
 c = 0, so the solver works with Lambda = -L whose spectrum is positive and
@@ -47,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import ConvergenceError, SymTridiagonal, symtri_eigen
-from .orthopoly import jacobi_values
+from .orthopoly import jacobi_recurrence, jacobi_values
 
 __all__ = ["SlepianParams", "RadialMode", "chi0", "build_spectral_matrix",
            "solve_modes", "eval_phi", "eval_R", "eval_psi", "TruncationError"]
@@ -142,15 +145,14 @@ def chi0(N, n, nu):
 class _BasisTerms(NamedTuple):
     """The c-independent terms of the truncation-K problem at (N, nu), each
     a read-only array over k: the zero-bandwidth diagonal chi0(N, k, nu),
-    the x^2 recurrence diagonal beta_k = (1 - b_jac_k)/2 and off-diagonal
-    a_k, the norm ratios sqrt(h_{k+1}/h_k), h_k^(-1/2) for the mu closed
-    form and the evaluation constants c-hat_k = (N! k!/(k+N)!) / sqrt(h_k),
-    where h_k = integral_0^1 T_{N,k}^2 (1-x^2)^nu dx."""
+    the diagonal (1 - alpha_k)/2 and off-diagonal -sqrt(beta_{k+1})/2 of
+    the x^2 matrix (I - J)/2, h_k^(-1/2) for the mu closed form and the
+    evaluation constants c-hat_k = (N! k!/(k+N)!) / sqrt(h_k), where
+    h_k = integral_0^1 T_{N,k}^2 (1-x^2)^nu dx."""
 
     chi0: np.ndarray
-    beta: np.ndarray
-    a: np.ndarray
-    ratio: np.ndarray
+    x2_diag: np.ndarray
+    x2_off: np.ndarray
     inv_sqrt_h: np.ndarray
     scale: np.ndarray
 
@@ -165,13 +167,11 @@ def _basis_terms(N, nu, K):
     entry depends on its own k alone: a shorter K is a prefix, bitwise.
 
     h_k = (N!)^2 k! Gamma(k+nu+1) / (2 (2k+N+nu+1) (k+N)! Gamma(k+N+nu+1))
-    follows from the Jacobi orthogonality under u = 1 - 2 x^2, and a_k and
-    b_jac_k from the Jacobi multiplication recurrence
-    u P_k = A_k P_{k+1} + B_k P_k + C_k P_{k-1} with the R normalization;
-    b_jac_0 is its own finite branch (the general form is 0/0 at N = nu = 0).
-    Terms that are not finite (h_k underflows to 0 at large N and k, and
-    nu >~ 1e154 overflows) are kept as inf or NaN without a warning: the
-    matrix build refuses them."""
+    follows from the Jacobi orthogonality under u = 1 - 2 x^2; only the mu
+    weights and c-hat_k read it.  Terms that are not finite are kept without
+    a warning: the recurrence is NaN for nu >~ 1e154, which the matrix build
+    refuses, and h_k underflows to 0 at large N and k, which leaves inf
+    weights, refused by the mu step, and NaN c-hat_k."""
     # lgamma(j + 1) and lgamma(j + nu + 1) for j < K + N, read at j = k
     # and j = k + N
     lg = [math.lgamma(j + 1) for j in range(K + N)]
@@ -182,32 +182,23 @@ def _basis_terms(N, nu, K):
     # NaN where h_k underflows to 0 (math.log refuses it)
     scale = [math.exp(lg_N + lg[k] - lg[k + N] - 0.5 * math.log(h_k)) if h_k > 0
              else math.nan for k, h_k in enumerate(h)]
-    h = np.array(h)
-    k = np.arange(K)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = 2 * k + N + nu
-        a = -(k[:-1] + N + 1) * (k[:-1] + N + nu + 1) / ((s[:-1] + 1) * (s[:-1] + 2))
-        b_jac = np.empty(K)
-        b_jac[0] = (nu - N) / (N + nu + 2)
-        b_jac[1:] = (nu * nu - N * N) / (s[1:] * (s[1:] + 2))
-        terms = _BasisTerms(chi0(N, k, nu), 0.5 * (1.0 - b_jac), a,
-                            np.sqrt(h[1:] / h[:-1]), h ** -0.5, np.array(scale))
+    alpha, beta = jacobi_recurrence(K, N, nu)
+    with np.errstate(divide="ignore"):
+        terms = _BasisTerms(chi0(N, np.arange(K, dtype=float), nu), 0.5 * (1.0 - alpha),
+                            -0.5 * np.sqrt(beta[1:]), 1.0 / np.sqrt(h), np.array(scale))
     for arr in terms:
         arr.setflags(write=False)
     return terms
 
 
 def build_spectral_matrix(params, K):
-    """Matrix of Lambda = -L_{c,N,nu} in the orthonormalized T basis.
-
-    Diagonal d_k = chi0(N,k,nu) + c^2 b_k, off-diagonal
-    e_k = c^2 a_k sqrt(h_{k+1}/h_k); symmetry is the self-adjointness
-    identity a_k h_{k+1} = c_{k+1} h_k of the x^2 recurrence
-    x^2 T_k = a_k T_{k+1} + b_k T_k + c_k T_{k-1}.  Everything but the two
-    products with c^2 comes from the cached ``_basis_terms`` of (N, nu, K),
-    where a_k and b_k = beta_k are formed over k = 0..K-1 at once, so a
-    repeated (N, nu, K) costs two array operations; the returned arrays are
-    new.  Raises ConvergenceError when an entry is not finite.
+    """Matrix of Lambda = -L_{c,N,nu} = diag(chi0) + c^2 (I - J)/2 in the
+    orthonormalized T basis: d_k = chi0(N,k,nu) + c^2 (1 - alpha_k)/2 and
+    e_k = -c^2 sqrt(beta_{k+1})/2, (alpha, beta) the Jacobi recurrence of
+    (1-u)^N (1+u)^nu.  Its n-th eigenvalue lies in [chi0_n, chi0_n + c^2].
+    All but the two products with c^2 is the cached ``_basis_terms`` of
+    (N, nu, K); the returned arrays are new.  Raises ConvergenceError when
+    an entry is not finite.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -216,8 +207,8 @@ def build_spectral_matrix(params, K):
     t = _basis_terms(N, nu, K)
     # a non-finite entry is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = t.chi0 + c2 * t.beta
-        off = c2 * t.a * t.ratio
+        diag = t.chi0 + c2 * t.x2_diag
+        off = c2 * t.x2_off
     try:
         return SymTridiagonal(diag, off)
     except ValueError as exc:  # entries not finite, e.g. nu >~ 1e154
@@ -261,7 +252,8 @@ def _leading_coeffs(T, eig):
 def _mu_values(params, T, eig):
     """mu of each eigenpair of ``eig`` (an ``Eigenpairs``) by the closed
     form of the module docstring.  A_0 and sum_k A_k h_k^(-1/2) both scale
-    with the vector, so mu does not depend on its norm."""
+    with the vector, so mu does not depend on its norm.  Raises
+    ConvergenceError where a weight is not finite (h_k underflowed)."""
     nu, c, N = params.nu, params.c, params.N
     if c == 0:
         # T is diagonal, A = e_n: mu = 1/(2 (nu+1)) for N = n = 0, else 0
@@ -270,6 +262,9 @@ def _mu_values(params, T, eig):
             mus[0] = 0.5 / (nu + 1)
         return mus
     inv_sqrt_h = _basis_terms(N, nu, T.dim).inv_sqrt_h
+    if not np.isfinite(inv_sqrt_h).all():
+        raise ConvergenceError(
+            f"mu weights h_k^(-1/2) overflow at nu={nu}, c={c}, N={N}, K={T.dim}")
     log_pref = (N * math.log(c) + math.lgamma(nu + 1) - (N + 1) * math.log(2.0)
                 - math.lgamma(N + nu + 2) + math.log(inv_sqrt_h[0]))
     return (math.exp(log_pref) * _leading_coeffs(T, eig)
@@ -288,13 +283,12 @@ def _certified_truncation(params, num_modes, ceiling):
     (interlacing).  Past the last row whose disc reaches below chi_ub, an
     eigenvector with chi <= chi_ub does not grow, and row k of the
     eigenrelation gives |A_k| <= |e_{k-1}| |A_{k-1}| / (d_k - chi_ub - |e_k|).
-    The mu closed form sums A_k h_k^(-1/2), and with
-    e_{k-1} = c^2 a_{k-1} sqrt(h_k/h_{k-1}) that weighted coefficient moves
-    by at most c^2 |a_{k-1}| / (d_k - chi_ub - |e_k|) a row.  K is where the
-    product of these factors first falls under the tolerance.  h_k
-    decreases, so the weighted factor is the larger and K also certifies
-    the unweighted tail that ``_tails_ok`` checks.  A row that is not finite
-    certifies nothing.
+    The mu closed form sums A_k w_k, w_k = h_k^(-1/2), so that weighted
+    coefficient moves by at most |e_{k-1}| (w_k / w_{k-1}) / (d_k - chi_ub - |e_k|)
+    a row.  K is where the product of these factors first falls under the
+    tolerance.  h_k decreases, so the weighted factor is the larger and K
+    also certifies the unweighted tail that ``_tails_ok`` checks.  A row
+    that is not finite certifies nothing.
 
     The bound covers truncation, not roundoff.  LAPACK resolves an
     eigenvector entry only down to about 1e-16 of the largest (smaller ones
@@ -305,21 +299,21 @@ def _certified_truncation(params, num_modes, ceiling):
     """
     c2 = params.c * params.c
     t = _basis_terms(params.N, params.nu, ceiling)
-    d = t.chi0 + c2 * t.beta
-    c2a = -c2 * t.a  # c^2 |a_k|: a_k < 0 for nu > -1
+    d = t.chi0 + c2 * t.x2_diag
     e = np.zeros(ceiling + 1)  # |e_{k-1}| at k, |e_k| at k + 1
-    np.multiply(c2a, t.ratio, out=e[1:-1])
+    np.multiply(-c2, t.x2_off, out=e[1:-1])
     radius = e[:-1] + e[1:]
     chi_ub = np.partition(d + radius, num_modes - 1)[num_modes - 1]
     # one past the last disc that reaches below chi_ub (or is NaN)
     k0 = ceiling - int(np.argmin((d - radius > chi_ub)[::-1]))
+    w = t.inv_sqrt_h[k0 - 1:].tolist()
     prod = 1.0
-    for k, (a_k, d_k, e_k) in enumerate(zip(c2a[k0 - 1:].tolist(), d[k0:].tolist(),
-                                            e[k0 + 1:].tolist()), k0):
-        prod *= a_k / (d_k - chi_ub - e_k)
+    for k, (e_prev, d_k, e_k, w_prev, w_k) in enumerate(
+            zip(e[k0:].tolist(), d[k0:].tolist(), e[k0 + 1:].tolist(), w, w[1:]), k0):
+        prod *= e_prev * w_k / w_prev / (d_k - chi_ub - e_k)
         if prod < params.tolerance:
             K = max(k + 1, num_modes + 2)
-            # NaN weights (h_k underflowed) count as steep
+            # inf weights (h_k underflowed) count as steep
             if c2 == 0 or t.inv_sqrt_h[K - 1] <= _MAX_WEIGHT_GROWTH * t.inv_sqrt_h[0]:
                 return K
             break

@@ -7,7 +7,7 @@ extended-precision eigensolve of the radial spectral matrix.  It also holds
 reference implementations that the library does not use: the radial basis
 function T_{N,n} (``t_basis``), its norms (``t_norm_sq``) and x^2
 recurrence (``x2_recurrence_coeffs``) one index at a time, the scalar
-recipe that the library's array build is pinned to bitwise, and the
+recipe that the library's spectral matrix is checked against, and the
 classical prolate operator (``apply_L_classical``), a separate code path
 for the weight-zero reduction of ``operators.apply_L``.
 """
@@ -136,6 +136,26 @@ def tridiag_eigs_bisect(diag, off, count, tol=mp.mpf("1e-25")):
                 lo = mid
         out.append((lo + hi) / 2)
     return out
+
+
+def jacobi_recurrence_mp(n, a, b):
+    """Monic recurrence coefficients (alpha, beta) of (1-u)^a (1+u)^b on
+    (-1,1) as mpf lists, beta[0] the mass 2^(a+b+1) B(a+1, b+1), at the
+    working precision; k = 0 and k = 1 take the limits of the general forms.
+    """
+    a, b = mp.mpf(a), mp.mpf(b)
+    alpha, beta = [], []
+    for k in range(n):
+        den = 2 * k + a + b
+        alpha.append((b - a) / (a + b + 2) if k == 0 else (b * b - a * a) / (den * (den + 2)))
+        if k == 0:
+            beta.append(2 ** (a + b + 1) * mp.beta(a + 1, b + 1))
+        elif k == 1:
+            beta.append(4 * (a + 1) * (b + 1) / ((a + b + 2) ** 2 * (a + b + 3)))
+        else:
+            beta.append(4 * k * (k + a) * (k + b) * (k + a + b)
+                        / (den * den * (den + 1) * (den - 1)))
+    return alpha, beta
 
 
 def slepian_mu_mp(nu, c, N, K, count, dps=80):

@@ -276,8 +276,8 @@ class TestExitCodes:
     def test_overflowing_spectral_matrix_is_numerical_failure(self, capsys, argv):
         # the recurrence coefficients overflow for nu >~ 1e154; below that
         # the |lambda| <= 1 guard refuses the solve.  At N = 400 the norms
-        # h_k underflow to 0 within the truncation, which leaves NaN norm
-        # ratios in the matrix, and the build refuses it
+        # h_k underflow to 0 within the truncation: the matrix stays finite,
+        # and the mu step refuses the inf weights h_k^(-1/2)
         code, out = run_cli_out(capsys, *argv)
         assert code == 3
         assert out == ""

@@ -46,6 +46,28 @@ class TestJacobi:
             assert np.array_equal(one, stacked)
 
 
+class TestJacobiRecurrence:
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.5, -0.5), (-0.5, -0.5), (2.5, -0.9),
+                                     (400.0, 3.0)])
+    def test_against_mpmath(self, a, b):
+        # (0, 0) and (-0.5, -0.5) take the k = 0 and k = 1 branches; at
+        # a = 400 Gamma(a+1) overflows, and the mass does not.  The mass is
+        # the exp of a sum of lgamma terms of up to lgamma(a+b+2), so its
+        # relative error grows like eps * lgamma(a+b+2): 1.4e-13 at a = 400
+        alpha, beta = op.jacobi_recurrence(60, a, b)
+        ref_alpha, ref_beta = oracles.jacobi_recurrence_mp(60, a, b)
+        assert np.max(np.abs(alpha - np.array(ref_alpha, dtype=float))) <= 1e-15
+        assert abs(beta[0] - ref_beta[0]) <= 1e-15 * (1 + math.lgamma(a + b + 2)) * ref_beta[0]
+        for got, ref in zip(beta[1:].tolist(), ref_beta[1:]):
+            assert abs(got - ref) <= 1e-15 * ref
+
+    def test_a_shorter_n_is_a_prefix_bitwise(self):
+        whole = op.jacobi_recurrence(50, 3.0, 0.7123)
+        for n in (1, 2, 17):
+            for arr, full in zip(op.jacobi_recurrence(n, 3.0, 0.7123), whole):
+                assert arr.tobytes() == full[:n].tobytes()
+
+
 class TestGegenbauer:
     def test_low_degrees(self):
         assert op.gegenbauer_c(0, 0.7, 0.3) == 1.0

@@ -46,6 +46,12 @@ class TestGaussJacobi:
         mass = 2.0 ** (a + b + 1) * gamma_fn(a + 1) * gamma_fn(b + 1) / gamma_fn(a + b + 2)
         assert np.sum(r.weights) == pytest.approx(mass, rel=1e-13)
 
+    def test_total_mass_past_gamma_overflow(self):
+        # Gamma(201) overflows a double; the mass 2^201 Gamma(201) / Gamma(202)
+        # is formed in log space
+        r = gauss_jacobi(8, 200.0, 0.0)
+        assert np.sum(r.weights) == pytest.approx(2.0 ** 201 / 201, rel=1e-13)
+
     def test_against_adaptive_simpson(self):
         r = gauss_jacobi(4, 1.0, 0.5)
         val = r.integrate(lambda u: u ** 3)

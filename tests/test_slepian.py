@@ -1,7 +1,9 @@
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -43,7 +45,8 @@ class TestSpectralMatrix:
 
     @pytest.mark.parametrize("nu,c,N", [(0.0, 1.0, 0), (1.0, 3.0, 2), (2.5, 0.5, 1)])
     def test_offdiagonal_symmetry_both_ways(self, nu, c, N):
-        # e_k via a_k sqrt(h_{k+1}/h_k) must equal c_{k+1} sqrt(h_k/h_{k+1})
+        # e_k must equal c^2 c_{k+1} sqrt(h_k/h_{k+1}), the other side of
+        # the scalar recipe's self-adjointness identity
         p = SlepianParams(nu=nu, c=c, N=N)
         T = sl.build_spectral_matrix(p, 10)
         for k in range(9):
@@ -53,10 +56,27 @@ class TestSpectralMatrix:
             other = c * c * c_next * math.sqrt(h_k / h_k1)
             assert abs(T.offdiag[k] - other) <= 1e-12 * max(1.0, abs(other))
 
+    @pytest.mark.parametrize("nu", [0.0, 2.9])
+    @pytest.mark.parametrize("N", [0, 4, 60, 90])
+    def test_matrix_matches_jacobi_recurrence_in_mpmath(self, nu, N):
+        # Lambda = diag(chi0) + c^2 (I - J)/2, J the Jacobi matrix of
+        # (1-u)^N (1+u)^nu, every entry to 1e-15 relative; (0, 0) is the 0/0
+        # case of alpha_0
+        c, K = 7.3, 80
+        alpha, beta = oracles.jacobi_recurrence_mp(K, N, nu)
+        c2 = mp.mpf(c) ** 2
+        diag = [(N + 2 * k + mp.mpf(0.5)) * (N + 2 * mp.mpf(nu) + 2 * k + mp.mpf(1.5))
+                + c2 * (1 - alpha_k) / 2 for k, alpha_k in enumerate(alpha)]
+        off = [-c2 * mp.sqrt(beta_k) / 2 for beta_k in beta[1:]]
+        T = sl.build_spectral_matrix(SlepianParams(nu=nu, c=c, N=N), K)
+        for got, ref in [*zip(T.diag.tolist(), diag), *zip(T.offdiag.tolist(), off)]:
+            assert abs(got - ref) <= 1e-15 * abs(ref)
+
     @pytest.mark.parametrize("nu,N", [(0.0, 0), (-0.9, 3), (2.5, 2)])
     @pytest.mark.parametrize("K", [2, 3, 57])
-    def test_array_build_matches_scalar_reference_bitwise(self, nu, N, K):
-        # the scalar recipe, entry by entry; (0, 0) is the 0/0 case of b_0
+    def test_matrix_agrees_with_the_scalar_recipe(self, nu, N, K):
+        # the independent recipe of the oracles, entry by entry: d_k from the
+        # x^2 recurrence and e_k = c^2 a_k sqrt(h_{k+1}/h_k) from the norms
         c = 7.3
         diag, off = [], []
         for k in range(K):
@@ -66,18 +86,22 @@ class TestSpectralMatrix:
                 ratio = t_norm_sq(TBasisIndex(N, k + 1, nu)) / t_norm_sq(TBasisIndex(N, k, nu))
                 off.append(c * c * a * math.sqrt(ratio))
         T = sl.build_spectral_matrix(SlepianParams(nu=nu, c=c, N=N), K)
-        assert np.array_equal(T.diag, diag)
-        assert np.array_equal(T.offdiag, off)
-        # the mu weights h_k^(-1/2) and the evaluation constants c-hat_k.
-        # numpy's array power and Python's float power can differ in the
-        # last bit, so the weights of the scalar norms are taken as an array
+        assert np.allclose(T.diag, diag, rtol=5e-13, atol=0)
+        assert np.allclose(T.offdiag, off, rtol=5e-13, atol=0)
+
+    @pytest.mark.parametrize("nu,N", [(0.0, 0), (-0.9, 3), (2.5, 2)])
+    @pytest.mark.parametrize("K", [2, 3, 57])
+    def test_mu_weights_and_evaluation_constants_match_scalar_recipe_bitwise(self, nu, N, K):
+        # the mu weights h_k^(-1/2) are 1 / sqrt(h_k), two correctly rounded
+        # operations, so they do not depend on numpy's power kernel; the
+        # evaluation constants c-hat_k follow the lgamma closed form
         h = [t_norm_sq(TBasisIndex(N, k, nu)) for k in range(K)]
         log_c = [math.lgamma(N + 1) + math.lgamma(k + 1) - math.lgamma(k + N + 1)
                  for k in range(K)]
         terms = sl._basis_terms(N, nu, K)
-        assert np.array_equal(terms.inv_sqrt_h, np.array(h) ** -0.5)
-        assert np.array_equal(terms.scale, [math.exp(lc - 0.5 * math.log(h_k))
-                                            for lc, h_k in zip(log_c, h)])
+        assert terms.inv_sqrt_h.tolist() == [1 / math.sqrt(h_k) for h_k in h]
+        assert terms.scale.tolist() == [math.exp(lc - 0.5 * math.log(h_k))
+                                        for lc, h_k in zip(log_c, h)]
 
 
 class TestSolveModes:
@@ -125,16 +149,12 @@ class TestSolveModes:
             sl.solve_modes(SlepianParams(nu=0.0, c=1e9, N=0), 1)
 
     def test_weyl_style_perturbation_bound(self):
-        # |chi(c) - chi(0)| <= c^2 * (inf-norm bound of the x^2 block)
-        for (nu, c, N) in [(0.0, 1.0, 0), (1.0, 2.0, 1), (2.5, 0.5, 3)]:
-            p = SlepianParams(nu=nu, c=c, N=N)
-            modes = sl.solve_modes(p, 6)
-            T = sl.build_spectral_matrix(p, modes[0].truncation)
-            T0 = sl.build_spectral_matrix(SlepianParams(nu=nu, c=0.0, N=N),
-                                          modes[0].truncation)
-            bound = np.max(np.abs(T.diag - T0.diag)) + 2 * np.max(np.abs(T.offdiag))
-            for m in modes:
-                assert abs(m.chi - sl.chi0(N, m.n, nu)) <= bound + 1e-12
+        # Lambda = diag(chi0) + c^2 (I - J)/2 with 0 < (I - J)/2 < I, so by
+        # Weyl chi0_n <= chi_n <= chi0_n + c^2 in every truncation
+        for nu, c, N in itertools.product((-0.5, 0.0, 2.9), (0.5, 40.0, 80.0), (0, 4, 60)):
+            for m in sl.solve_modes(SlepianParams(nu=nu, c=c, N=N), 6):
+                lo = sl.chi0(N, m.n, nu)
+                assert lo * (1 - 1e-12) <= m.chi <= (lo + c * c) * (1 + 1e-12)
 
     def test_tail_decay_monotone_above_noise_floor(self):
         # |A_k| decays monotonically over the last quarter of the window once
@@ -247,6 +267,18 @@ class TestSolveModes:
         assert modes[0].truncation == 44
         assert abs(math.sqrt(40.0) * modes[0].mu - ref) <= 2e-9 * abs(ref)
 
+    def test_mu_against_extended_precision_solve(self):
+        # the spectrum_sweep op (seeds 1-3, 201-210) whose mu moves most with
+        # the last digits of the off-diagonal: every mode to 6e-14 of the
+        # extended-precision eigensolve at the same K.  An off-diagonal formed
+        # as a_k sqrt(h_{k+1}/h_k) from lgamma norms is 1.5e-13 off here
+        nu, c, N, count = 2.1041, 44.8702, 2, 28
+        modes = sl.solve_modes(SlepianParams(nu=nu, c=c, N=N), count)
+        assert modes[0].truncation == 52
+        ref = oracles.slepian_mu_mp(nu, c, N, 52, count)
+        for m, r in zip(modes, ref):
+            assert abs(m.mu - r) <= 6e-14 * abs(r)
+
     def test_leading_coeffs_refuse_an_exact_zero_pivot(self):
         # d_0 - chi = 0 exactly: the continued fraction has no finite ratio
         from diskslepian.linalg import Eigenpairs, SymTridiagonal
@@ -310,18 +342,19 @@ class TestBasisTerms:
 
     @pytest.mark.filterwarnings("error")
     def test_underflowed_norms_are_refused_without_warnings(self):
-        # h_k underflows to 0 from k = 190 at N = 400: the terms keep inf
-        # weights and NaN ratios and c-hat_k, the build refuses them, and
-        # nothing warns
+        # h_k underflows to 0 from k = 190 at N = 400.  The matrix does not
+        # read h_k and stays finite; the mu weights are inf there, the mu
+        # step refuses them, and nothing warns
         p = SlepianParams(nu=3.0, c=1000.0, N=400)
-        with pytest.raises(sl.ConvergenceError, match="overflow"):
-            sl.solve_modes(p, 5)
+        T = sl.build_spectral_matrix(p, 285)
+        assert np.all(np.isfinite(T.diag)) and np.all(np.isfinite(T.offdiag))
         terms = sl._basis_terms(400, 3.0, 285)
         assert np.all(np.isposinf(terms.inv_sqrt_h[190:]))
         assert np.all(np.isfinite(terms.inv_sqrt_h[:190]))
-        assert np.all(np.isnan(terms.ratio[190:]))
         assert np.all(np.isnan(terms.scale[190:]))
         assert np.all(np.isfinite(terms.scale[:190]))
+        with pytest.raises(sl.ConvergenceError, match="overflow"):
+            sl.solve_modes(p, 5)
 
     def test_warm_sweep_pass_misses_no_cache(self):
         # 48 ops as in the spectrum_sweep benchmark: 3 nu x 16 c, N = j % 5,
