@@ -12,7 +12,8 @@ the package relies on:
 
 * ``symtri_eigen``  -- eigenvalues ascending (Sturm-Liouville convention),
   returned as read-only arrays: an ``Eigenpairs`` of the (count,) values,
-  the (count, K) eigenvectors as rows and each row's ``peak`` index,
+  the (count, K) eigenvectors as rows, each row's ``peak`` index and
+  ``top``, the magnitude of the entry there, read in the sign pass,
 * ``dense_sym_eigen`` -- eigenvalues by descending magnitude (integral-operator
   convention), returned as a list of ``EigenPair`` with read-only vectors,
 * deterministic eigenvector sign: each vector is LAPACK's column times +-1,
@@ -52,7 +53,7 @@ class SymTridiagonal:
         e = np.asarray(self.offdiag, dtype=float)
         if d.ndim != 1 or e.ndim != 1 or len(e) != max(len(d) - 1, 0):
             raise ValueError("SymTridiagonal needs diag (K) and offdiag (K-1)")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise ValueError("SymTridiagonal entries must be finite")
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", e)
@@ -90,13 +91,15 @@ class EigenPair:
 @dataclass(frozen=True)
 class Eigenpairs:
     """``count`` eigenpairs as arrays: values (count,), the unit
-    eigenvectors as the rows of vectors (count, K), and peak (count,), the
-    index of each row's largest |entry|, where the entry is positive.
+    eigenvectors as the rows of vectors (count, K), peak (count,), the
+    index of each row's largest |entry|, where the entry is positive, and
+    top (count,), that entry, so that callers need not index it again.
     len() is count."""
 
     values: np.ndarray
     vectors: np.ndarray
     peak: np.ndarray
+    top: np.ndarray
 
     def __len__(self):
         return len(self.values)
@@ -105,7 +108,7 @@ class Eigenpairs:
 def _eigen_rows(A, count, by_magnitude=False):
     """First ``count`` eigenpairs of symmetric A, values ascending or by
     descending magnitude: (values, read-only C-contiguous rows of
-    sign-fixed unit vectors, peak index of each row)."""
+    sign-fixed unit vectors, peak index of each row, |entry| at the peak)."""
     if count < 1 or count > len(A):
         raise ValueError(f"count must be in [1, {len(A)}], got {count}")
     try:
@@ -115,10 +118,12 @@ def _eigen_rows(A, count, by_magnitude=False):
     order = np.argsort(-np.abs(vals), kind="stable")[:count] if by_magnitude else slice(count)
     vals, rows = vals[order], vecs[:, order].T.copy()
     peak = np.abs(rows).argmax(axis=1)
-    rows *= np.copysign(1.0, rows[np.arange(count), peak])[:, None]
-    for arr in (vals, rows, peak):
+    at_peak = rows[np.arange(count), peak]
+    rows *= np.copysign(1.0, at_peak)[:, None]
+    top = np.abs(at_peak)
+    for arr in (vals, rows, peak, top):
         arr.setflags(write=False)
-    return vals, rows, peak
+    return vals, rows, peak, top
 
 
 def symtri_eigen(T, count):
@@ -134,5 +139,5 @@ def dense_sym_eigen(A, count, sym_tol=1e-12):
     scale = np.max(np.abs(A))
     if scale > 0 and np.max(np.abs(A - A.T)) > sym_tol * scale:
         raise AsymmetryError("matrix is not symmetric to relative 1e-12")
-    vals, rows, _ = _eigen_rows(0.5 * (A + A.T), count, by_magnitude=True)
+    vals, rows, _, _ = _eigen_rows(0.5 * (A + A.T), count, by_magnitude=True)
     return [EigenPair(float(v), row) for v, row in zip(vals, rows)]

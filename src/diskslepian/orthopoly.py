@@ -25,8 +25,11 @@ __all__ = ["jacobi_recurrence", "jacobi_values", "jacobi_term", "jacobi_sequence
 
 def jacobi_recurrence(n, a, b):
     """Monic recurrence coefficients (alpha[0:n], beta[0:n]) of the weight
-    (1-u)^a (1+u)^b on (-1,1), with beta[0] the total mass, formed in log
-    space so that it stays finite where Gamma(a+1) overflows (a >~ 170).
+    (1-u)^a (1+u)^b on (-1,1), with beta[0] the total mass
+    2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2).  While Gamma(a+b+2) is
+    finite the mass is that product of ``math.gamma`` values, within about
+    1e-15; beyond (a + b >~ 170) it is formed in log space, which stays
+    finite but loses about eps * lgamma(a+b+2) (1.4e-13 at a = 400).
     alpha and sqrt(beta[1:]) make the orthonormal Jacobi matrix J, the
     multiplication by u, whose eigenvalues are the Gauss nodes.  Entry k
     depends on k alone: a shorter n is a prefix, bitwise.  k = 0 (0/0 at
@@ -38,8 +41,15 @@ def jacobi_recurrence(n, a, b):
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = (b * b - a * a) / (den * (den + 2))
         beta = 4 * k * (k + a) * (k + b) * (k + apb) / (den * den * (den + 1) * (den - 1))
-        beta[0] = np.exp((apb + 1) * math.log(2.0) + math.lgamma(a + 1)
-                         + math.lgamma(b + 1) - math.lgamma(apb + 2))
+    lo, hi = sorted((a, b))
+    try:
+        # the larger Gamma is divided first, so no partial product overflows
+        beta[0] = 2.0 ** (apb + 1) * (math.gamma(hi + 1) / math.gamma(apb + 2)
+                                      * math.gamma(lo + 1))
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            beta[0] = np.exp((apb + 1) * math.log(2.0) + math.lgamma(a + 1)
+                             + math.lgamma(b + 1) - math.lgamma(apb + 2))
     alpha[0] = (b - a) / (apb + 2)
     if n > 1:
         beta[1] = 4 * (a + 1) * (b + 1) / ((apb + 2) * (apb + 2) * (apb + 3))

@@ -45,6 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -139,7 +140,8 @@ class RadialMode(NamedTuple):
 
 def chi0(N, n, nu):
     """Zero-bandwidth eigenvalue of Lambda: (N+2n+1/2)(N+2nu+2n+3/2)."""
-    return (N + 2 * n + 0.5) * (N + 2 * nu + 2 * n + 1.5)
+    two_n = 2 * n  # once, for an array n of the basis-term build
+    return (N + two_n + 0.5) * (N + 2 * nu + two_n + 1.5)
 
 
 class _BasisTerms(NamedTuple):
@@ -148,13 +150,23 @@ class _BasisTerms(NamedTuple):
     the diagonal (1 - alpha_k)/2 and off-diagonal -sqrt(beta_{k+1})/2 of
     the x^2 matrix (I - J)/2, h_k^(-1/2) for the mu closed form and the
     evaluation constants c-hat_k = (N! k!/(k+N)!) / sqrt(h_k), where
-    h_k = integral_0^1 T_{N,k}^2 (1-x^2)^nu dx."""
+    h_k = integral_0^1 T_{N,k}^2 (1-x^2)^nu dx.
+
+    The last three are the row terms of ``_certified_truncation``'s tail
+    bound, with x2 = (I - J)/2 and w_k = h_k^(-1/2): gap_k = x2_kk -
+    |x2_{k,k+1}|; disc_lo_k = gap_k - |x2_{k-1,k}|, the Gershgorin lower
+    end of row k; and step_k = |x2_{k-1,k}| w_k / w_{k-1} (0 at k = 0).
+    Row K-1 reads |x2_{K-1,K}| = sqrt(beta_K)/2 from one row past the
+    matrix, so that every row keeps the prefix property."""
 
     chi0: np.ndarray
     x2_diag: np.ndarray
     x2_off: np.ndarray
     inv_sqrt_h: np.ndarray
     scale: np.ndarray
+    disc_lo: np.ndarray
+    gap: np.ndarray
+    step: np.ndarray
 
 
 @lru_cache(maxsize=128)
@@ -171,7 +183,7 @@ def _basis_terms(N, nu, K):
     weights and c-hat_k read it.  Terms that are not finite are kept without
     a warning: the recurrence is NaN for nu >~ 1e154, which the matrix build
     refuses, and h_k underflows to 0 at large N and k, which leaves inf
-    weights, refused by the mu step, and NaN c-hat_k."""
+    weights, refused by the mu step, and NaN c-hat_k and step_k."""
     # lgamma(j + 1) and lgamma(j + nu + 1) for j < K + N, read at j = k
     # and j = k + N
     lg = [math.lgamma(j + 1) for j in range(K + N)]
@@ -182,10 +194,19 @@ def _basis_terms(N, nu, K):
     # NaN where h_k underflows to 0 (math.log refuses it)
     scale = [math.exp(lg_N + lg[k] - lg[k + N] - 0.5 * math.log(h_k)) if h_k > 0
              else math.nan for k, h_k in enumerate(h)]
-    alpha, beta = jacobi_recurrence(K, N, nu)
-    with np.errstate(divide="ignore"):
-        terms = _BasisTerms(chi0(N, np.arange(K, dtype=float), nu), 0.5 * (1.0 - alpha),
-                            -0.5 * np.sqrt(beta[1:]), 1.0 / np.sqrt(h), np.array(scale))
+    alpha, beta = jacobi_recurrence(K + 1, N, nu)
+    x2_diag = 0.5 * (1.0 - alpha[:K])
+    # |x2_{k-1,k}| at k for k <= K, 0 at k = 0 (no row above row 0)
+    off = 0.5 * np.sqrt(beta)
+    off[0] = 0.0
+    # h_0 leads h once more, so that step_0 = 0 w_0 / w_0 = 0; step is
+    # inf / inf = NaN where h_k underflowed: such a row certifies nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 1.0 / np.sqrt([h[0], *h])
+        step = off[:-1] * w[1:] / w[:-1]
+    gap = x2_diag - off[1:]
+    terms = _BasisTerms(chi0(N, np.arange(K, dtype=float), nu), x2_diag, -off[1:-1], w[1:],
+                        np.array(scale), gap - off[:-1], gap, step)
     for arr in terms:
         arr.setflags(write=False)
     return terms
@@ -218,35 +239,39 @@ def build_spectral_matrix(params, K):
 
 def _tails_ok(eig, tolerance):
     """No row of eig.vectors has a last entry above tolerance times its
-    largest, the positive entry at eig.peak."""
-    v = eig.vectors
-    return not np.any(np.abs(v[:, -1]) > tolerance * v[np.arange(len(v)), eig.peak])
+    largest, eig.top."""
+    return not np.any(np.abs(eig.vectors[:, -1]) > tolerance * eig.top)
 
 
 def _leading_coeffs(T, eig):
     """A_0 of each eigenpair of ``eig`` (an ``Eigenpairs`` of T), from its
-    peak coefficient A_m, m = eig.peak.
+    peak coefficient A_m = eig.top, m = eig.peak.
 
     Rows 0..m-1 of (T - chi) A = 0 give the ratios r_k = A_k / A_{k+1} by
-    the continued fraction r_k = -e_k / (d_k - chi + e_{k-1} r_{k-1}), so
-    A_0 = A_m r_0 ... r_{m-1}, at the scale of the vector.  This keeps full
-    relative accuracy where A_0 is far below the eigenvector's roundoff
-    level (small c, high n), which the LAPACK component does not.  The
-    fraction runs in Python floats, one mode at a time: m is a few dozen,
-    where a numpy call per step costs more than the arithmetic.
+    the continued fraction r_0 = -e_0 / (d_0 - chi), r_k = -e_k / (d_k - chi
+    + e_{k-1} r_{k-1}), so A_0 = A_m r_0 ... r_{m-1}, at the scale of the
+    vector (A_0 = A_m where m = 0).  This keeps full relative accuracy where
+    A_0 is far below the eigenvector's roundoff level (small c, high n),
+    which the LAPACK component does not.  The fraction runs in Python
+    floats, one mode at a time: m is a few dozen, where a numpy call per
+    step costs more than the arithmetic.
     """
     d, e = T.diag.tolist(), T.offdiag.tolist()
+    d0, e0 = d[0], e[0]
     prods = []
     for x, m in zip(eig.values.tolist(), eig.peak.tolist()):
-        prod, r = 1.0, 0.0
+        if not m:
+            prods.append(1.0)
+            continue
         try:
-            for k in range(m):
-                r = -e[k] / (d[k] - x + (e[k - 1] * r if k else 0.0))
+            prod = r = -e0 / (d0 - x)
+            for k in range(1, m):
+                r = -e[k] / (d[k] - x + e[k - 1] * r)
                 prod *= r
         except ZeroDivisionError:  # an exact zero pivot: mu is refused as NaN
             prod = math.nan
         prods.append(prod)
-    return eig.vectors[np.arange(len(prods)), eig.peak] * np.array(prods)
+    return eig.top * np.array(prods)
 
 
 def _mu_values(params, T, eig):
@@ -276,19 +301,28 @@ def _certified_truncation(params, num_modes, ceiling):
     that the first num_modes eigenvectors have decayed below
     params.tolerance, or ceiling where none is certified.
 
-    The bound reads d_k and |e_k| of the size-ceiling matrix from the cached
-    terms and c^2, without building it.  Row k's Gershgorin disc is
-    d_k -+ (|e_{k-1}| + |e_k|).  chi_ub, the num_modes-th smallest upper
-    end, bounds chi_{num_modes-1} of every truncation that holds those rows
-    (interlacing).  Past the last row whose disc reaches below chi_ub, an
-    eigenvector with chi <= chi_ub does not grow, and row k of the
-    eigenrelation gives |A_k| <= |e_{k-1}| |A_{k-1}| / (d_k - chi_ub - |e_k|).
-    The mu closed form sums A_k w_k, w_k = h_k^(-1/2), so that weighted
-    coefficient moves by at most |e_{k-1}| (w_k / w_{k-1}) / (d_k - chi_ub - |e_k|)
-    a row.  K is where the product of these factors first falls under the
-    tolerance.  h_k decreases, so the weighted factor is the larger and K
-    also certifies the unweighted tail that ``_tails_ok`` checks.  A row
-    that is not finite certifies nothing.
+    Lambda = diag(chi0) + c^2 x2 with x2 = (I - J)/2.  Every truncation of
+    x2 is a compression of multiplication by x^2 on (0, 1), so its spectrum
+    lies in (0, 1), and by Weyl's inequality chi_n <= chi0_n + c^2 in every
+    truncation.  The bound therefore takes the bracket
+    chi_ub = chi0(N, num_modes - 1, nu) + c^2 for chi_{num_modes-1}.  Row
+    k's Gershgorin disc reaches down to chi0_k + c^2 disc_lo_k.  Past the
+    last row whose disc reaches below chi_ub, an eigenvector with chi <=
+    chi_ub does not grow, and row k of the eigenrelation gives |A_k| <=
+    |e_{k-1}| |A_{k-1}| / (d_k - chi_ub - |e_k|).  The mu closed form sums
+    A_k w_k, w_k = h_k^(-1/2), so that weighted coefficient moves by at
+    most c^2 step_k / (chi0_k + c^2 gap_k - chi_ub) a row.  K is where the
+    product of these factors first falls under the tolerance.  h_k
+    decreases, so the weighted factor is the larger and K also certifies
+    the unweighted tail that ``_tails_ok`` checks.  A row that is not
+    finite certifies nothing.
+
+    The row terms disc_lo, gap and step do not depend on c and are cached
+    in ``_BasisTerms`` (see there); a call forms only their products with
+    c^2 in one disc test over the ceiling's rows and in the walk.  The
+    last row's disc reads beta_K of the row past the matrix, which only
+    widens it, so the bound stays valid and each row is the same at every
+    ceiling.
 
     The bound covers truncation, not roundoff.  LAPACK resolves an
     eigenvector entry only down to about 1e-16 of the largest (smaller ones
@@ -299,18 +333,13 @@ def _certified_truncation(params, num_modes, ceiling):
     """
     c2 = params.c * params.c
     t = _basis_terms(params.N, params.nu, ceiling)
-    d = t.chi0 + c2 * t.x2_diag
-    e = np.zeros(ceiling + 1)  # |e_{k-1}| at k, |e_k| at k + 1
-    np.multiply(-c2, t.x2_off, out=e[1:-1])
-    radius = e[:-1] + e[1:]
-    chi_ub = np.partition(d + radius, num_modes - 1)[num_modes - 1]
+    chi_ub = chi0(params.N, num_modes - 1, params.nu) + c2
     # one past the last disc that reaches below chi_ub (or is NaN)
-    k0 = ceiling - int(np.argmin((d - radius > chi_ub)[::-1]))
-    w = t.inv_sqrt_h[k0 - 1:].tolist()
+    k0 = ceiling - int(np.argmin((t.chi0 + c2 * t.disc_lo > chi_ub)[::-1]))
     prod = 1.0
-    for k, (e_prev, d_k, e_k, w_prev, w_k) in enumerate(
-            zip(e[k0:].tolist(), d[k0:].tolist(), e[k0 + 1:].tolist(), w, w[1:]), k0):
-        prod *= e_prev * w_k / w_prev / (d_k - chi_ub - e_k)
+    for k, (chi0_k, gap_k, step_k) in enumerate(
+            zip(t.chi0[k0:].tolist(), t.gap[k0:].tolist(), t.step[k0:].tolist()), k0):
+        prod *= c2 * step_k / (chi0_k + c2 * gap_k - chi_ub)
         if prod < params.tolerance:
             K = max(k + 1, num_modes + 2)
             # inf weights (h_k underflowed) count as steep
@@ -331,7 +360,7 @@ def solve_modes(params, num_modes):
     by up to 25%).
 
     The truncation K starts at the smallest K >= num_modes + 2 that a
-    Gershgorin-and-recurrence tail bound certifies (``_certified_truncation``),
+    bracket-and-recurrence tail bound certifies (``_certified_truncation``),
     at most the ceiling num_modes + ceil(c/4) + 30, and doubles until every
     requested mode's last expansion coefficient is below
     tolerance * max|coefficient|.  The dense eigensolve costs O(K^3), so the
@@ -381,8 +410,10 @@ def solve_modes(params, num_modes):
         raise ConvergenceError(
             f"|lambda| = {lam_max:.3g} exceeds 1 at nu={nu}, c={c}, N={N}")
     lams = 2 * (nu + 1) * _I_POW[N % 4] * mus
-    return list(map(RadialMode, range(num_modes), eig.values.tolist(), mus.tolist(),
-                    lams.tolist(), eig.vectors, [K] * num_modes))
+    # tuple.__new__ fills each record without a Python-level __new__ call
+    return list(map(tuple.__new__, repeat(RadialMode),
+                    zip(range(num_modes), eig.values.tolist(), mus.tolist(),
+                        lams.tolist(), eig.vectors, repeat(K))))
 
 
 def _eval_sum(mode, params, x, radial_power):

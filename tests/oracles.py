@@ -7,7 +7,8 @@ extended-precision eigensolve of the radial spectral matrix.  It also holds
 reference implementations that the library does not use: the radial basis
 function T_{N,n} (``t_basis``), its norms (``t_norm_sq``) and x^2
 recurrence (``x2_recurrence_coeffs``) one index at a time, the scalar
-recipe that the library's spectral matrix is checked against, and the
+recipe that the library's spectral matrix is checked against, the earlier
+Gershgorin tail bound of the truncation (``gershgorin_truncation``), and the
 classical prolate operator (``apply_L_classical``), a separate code path
 for the weight-zero reduction of ``operators.apply_L``.
 """
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
+from diskslepian import slepian as sl
 from diskslepian.orthopoly import jacobi_term
 
 mp.mp.dps = 40
@@ -193,6 +195,34 @@ def slepian_mu_mp(nu, c, N, K, count, dps=80):
             tip = sum(Q[k, j] / mp.sqrt(h(k)) for k in range(K))
             out.append(float(pref * Q[0, j] / tip))
         return out
+
+
+def gershgorin_truncation(params, num_modes, ceiling):
+    """The truncation K of the Gershgorin tail bound that the library used
+    before its chi0 + c^2 bracket: chi_ub is the num_modes-th smallest
+    upper end of the Gershgorin discs of the size-ceiling matrix, and the
+    last row's disc has no row below it.  The walk past the last disc that
+    reaches below chi_ub, the weight-growth cap and the return values are
+    those of ``slepian._certified_truncation``."""
+    c2 = params.c * params.c
+    t = sl._basis_terms(params.N, params.nu, ceiling)
+    d = t.chi0 + c2 * t.x2_diag
+    e = np.zeros(ceiling + 1)  # |e_{k-1}| at k, |e_k| at k + 1
+    np.multiply(-c2, t.x2_off, out=e[1:-1])
+    radius = e[:-1] + e[1:]
+    chi_ub = np.partition(d + radius, num_modes - 1)[num_modes - 1]
+    k0 = ceiling - int(np.argmin((d - radius > chi_ub)[::-1]))
+    w = t.inv_sqrt_h[k0 - 1:].tolist()
+    prod = 1.0
+    for k, (e_prev, d_k, e_k, w_prev, w_k) in enumerate(
+            zip(e[k0:].tolist(), d[k0:].tolist(), e[k0 + 1:].tolist(), w, w[1:]), k0):
+        prod *= e_prev * w_k / w_prev / (d_k - chi_ub - e_k)
+        if prod < params.tolerance:
+            K = max(k + 1, num_modes + 2)
+            if c2 == 0 or t.inv_sqrt_h[K - 1] <= sl._MAX_WEIGHT_GROWTH * t.inv_sqrt_h[0]:
+                return K
+            break
+    return ceiling
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,36 @@ def test_rows_are_sign_fixed_lapack_columns(K, count):
     _assert_signed_lapack_rows(rows, np.argmax(np.abs(rows), axis=1), vecs[:, order])
 
 
+@pytest.mark.parametrize("K,count", [(2, 1), (9, 9), (60, 12), (80, 40)])
+def test_top_is_the_positive_peak_entry_bitwise(K, count):
+    rng = np.random.default_rng(200 + K)
+    eig = symtri_eigen(SymTridiagonal(rng.normal(size=K), rng.normal(size=K - 1)), count)
+    assert eig.top.shape == (count,) and not eig.top.flags.writeable
+    with pytest.raises(ValueError):
+        eig.top[0] = 1.0
+    at_peak = eig.vectors[np.arange(count), eig.peak]
+    assert np.all(eig.top > 0)
+    assert eig.top.tobytes() == np.abs(at_peak).tobytes() == at_peak.tobytes()
+
+
+@pytest.mark.parametrize("K,count", [(2, 2), (9, 4), (60, 12), (80, 80)])
+def test_dense_pairs_are_the_sign_fixed_lapack_columns_bitwise(K, count):
+    # the recipe of the sign pass written out: LAPACK's values ordered by
+    # descending magnitude, each column negated where its largest |entry|
+    # is negative
+    rng = np.random.default_rng(300 + K)
+    A = rng.normal(size=(K, K))
+    A = 0.5 * (A + A.T)
+    vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    order = np.argsort(-np.abs(vals), kind="stable")[:count]
+    pairs = dense_sym_eigen(A, count)
+    assert [p.value for p in pairs] == vals[order].tolist()
+    for p, col in zip(pairs, vecs[:, order].T):
+        ref = col if col[np.argmax(np.abs(col))] > 0 else -col
+        assert p.vector.tobytes() == ref.tobytes()
+        assert not p.vector.flags.writeable
+
+
 def test_sign_rule_acts_on_a_spectral_matrix():
     from diskslepian.slepian import SlepianParams, build_spectral_matrix
     T = build_spectral_matrix(SlepianParams(nu=0.7, c=23.0, N=3), 52)
@@ -211,7 +241,8 @@ def test_mu_does_not_need_renormalised_vectors(nu, c):
             T = sl.build_spectral_matrix(p, K)
             eig = symtri_eigen(T, num_modes)
             ref, _ = _flip_then_divide(T.to_dense(), num_modes)
-            ref_eig = Eigenpairs(eig.values, ref, np.argmax(np.abs(ref), axis=1))
+            ref_peak = np.argmax(np.abs(ref), axis=1)
+            ref_eig = Eigenpairs(eig.values, ref, ref_peak, ref[np.arange(num_modes), ref_peak])
             mu = sl._mu_values(p, T, eig)
             mu_ref = sl._mu_values(p, T, ref_eig)
             assert np.all(np.abs(mu - mu_ref) <= 4e-15 * np.abs(mu_ref))

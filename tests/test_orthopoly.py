@@ -61,6 +61,15 @@ class TestJacobiRecurrence:
         for got, ref in zip(beta[1:].tolist(), ref_beta[1:]):
             assert abs(got - ref) <= 1e-15 * ref
 
+    @pytest.mark.parametrize("a,b", [(2.5, 2.5), (1.5, 60.0), (0.0, 120.5)])
+    def test_mass_from_gamma_values_within_1e_15(self, a, b):
+        # while Gamma(a+b+2) is finite the mass is a product of Gamma values;
+        # the exp of a sum of lgamma terms was 2.2e-15, 2.5e-14 and 7.3e-14
+        # off here.  (2.5, 2.5) is the package's own radial rule
+        beta0 = op.jacobi_recurrence(1, a, b)[1][0]
+        ref = oracles.jacobi_recurrence_mp(1, a, b)[1][0]
+        assert abs(beta0 - ref) <= 1e-15 * ref
+
     def test_a_shorter_n_is_a_prefix_bitwise(self):
         whole = op.jacobi_recurrence(50, 3.0, 0.7123)
         for n in (1, 2, 17):

@@ -209,7 +209,7 @@ class TestSolveModes:
         # check.  The solve starts at the bound's K, never below it and never
         # doubling.  Where the bound certifies a K below the old start it is
         # at most 10 rows above the smallest.  Only at c = 80 with 10 modes
-        # may it certify nothing (the Gershgorin chi_ub is about 2.4 times
+        # may it certify nothing (chi_ub = chi0_9 + c^2 is about 2.4 times
         # chi_9 there), and then K is the old start
         for N in range(5):
             for num_modes in (10, 30):
@@ -227,6 +227,22 @@ class TestSolveModes:
                 else:
                     assert c == 80.0 and num_modes == 10
 
+    @pytest.mark.parametrize("nu", [0.0, 1.5, 2.9])
+    @pytest.mark.parametrize("c", [0.5, 5.0, 40.0, 80.0, 200.0, 1000.0])
+    def test_bracket_bound_against_the_gershgorin_bound(self, nu, c):
+        # the bracket chi0 + c^2 and the Gershgorin chi_ub differ by about
+        # 1e-3 of their value, and the last disc is wider by one row: K is
+        # at most one row above the Gershgorin oracle's, and a K below the
+        # ceiling passes the tail check
+        for N, num_modes in itertools.product((0, 4, 60), (10, 30, 60)):
+            p = SlepianParams(nu=nu, c=c, N=N)
+            ceiling = num_modes + math.ceil(c / 4) + 30
+            K = sl._certified_truncation(p, num_modes, ceiling)
+            assert num_modes + 2 <= K <= oracles.gershgorin_truncation(p, num_modes, ceiling) + 1
+            if K < ceiling:
+                eig = sl.symtri_eigen(sl.build_spectral_matrix(p, K), num_modes)
+                assert sl._tails_ok(eig, p.tolerance)
+
     def test_zero_bandwidth_start_is_the_floor(self):
         # the off-diagonal vanishes: every factor of the tail bound is 0
         for N, nu, num_modes in [(0, 0.0, 3), (4, 2.5, 12), (1, -0.5, 1)]:
@@ -235,7 +251,7 @@ class TestSolveModes:
             assert sl.solve_modes(p, num_modes)[0].truncation == num_modes + 2
 
     def test_uncertified_start_is_the_old_start(self):
-        # at c = 1000 the Gershgorin bound certifies nothing below the old
+        # at c = 1000 the bracket chi0 + c^2 certifies nothing below the old
         # start; the solve is the one made at that start
         p = SlepianParams(nu=0.0, c=1000.0, N=3)
         assert sl._certified_truncation(p, 10, 10 + 250 + 30) == 290
@@ -284,7 +300,8 @@ class TestSolveModes:
         from diskslepian.linalg import Eigenpairs, SymTridiagonal
         T = SymTridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])
         vecs = np.array([[0.1, 0.2, 0.9], [0.1, 0.9, 0.2]])
-        a0 = sl._leading_coeffs(T, Eigenpairs(np.array([1.0, 2.5]), vecs, np.array([2, 1])))
+        eig = Eigenpairs(np.array([1.0, 2.5]), vecs, np.array([2, 1]), np.array([0.9, 0.9]))
+        a0 = sl._leading_coeffs(T, eig)
         assert math.isnan(a0[0])
         assert a0[1] == 0.9 * (-0.5 / (1.0 - 2.5))
 
@@ -327,6 +344,28 @@ class TestBasisTerms:
         for K in (2, 17, 45, 89):
             for arr, full in zip(sl._basis_terms(3, 0.7123, K), whole):
                 assert arr.tobytes() == full[:len(arr)].tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("N,nu,K", [(0, 0.0, 2), (0, -0.9, 57), (3, 0.7123, 90),
+                                        (60, 2.9, 120), (400, 3.0, 285)])
+    def test_bound_row_terms_match_a_float_by_float_recomputation(self, N, nu, K):
+        # gap_k = x2_kk - |x2_{k,k+1}|, disc_lo_k = gap_k - |x2_{k-1,k}| and
+        # step_k = |x2_{k-1,k}| w_k / w_{k-1}, w = h^(-1/2), in Python floats;
+        # row K-1 reads |x2_{K-1,K}| from the next truncation.  At N = 400
+        # h_k underflows from k = 190: step is NaN (inf / inf) there, and
+        # nothing warns
+        terms = sl._basis_terms(N, nu, K)
+        diag, w = terms.x2_diag.tolist(), terms.inv_sqrt_h.tolist()
+        off = [-x for x in sl._basis_terms(N, nu, K + 1).x2_off.tolist()]
+        gap = [diag[k] - off[k] for k in range(K)]
+        disc_lo = [gap[0]] + [gap[k] - off[k - 1] for k in range(1, K)]
+        step = [0.0] + [off[k - 1] * w[k] / w[k - 1] for k in range(1, K)]
+        assert terms.gap.tolist() == gap
+        assert terms.disc_lo.tolist() == disc_lo
+        assert terms.step.tobytes() == np.array(step).tobytes()
+        if N == 400:
+            assert np.all(np.isnan(terms.step[191:]))
+            assert np.all(np.isfinite(terms.step[:190]))
 
     @pytest.mark.parametrize("c", [0.0, 6.0])
     def test_writing_a_returned_matrix_leaves_later_solves_unchanged(self, c):
