@@ -13,11 +13,14 @@ x; for an ndarray the Hankel transform builds one (x, t) kernel matrix by
 the power series of ``specfun``, so its domain is c * x <= 12
 (``_SERIES_CUTOFF``; larger arguments raise ValueError).
 
-Accumulation detail: the finite Hankel transform of a high-index
-eigenfunction is a near-perfect cancellation of O(1) quadrature terms down
-to ~1e-12 of their magnitude, so sums here run in ``numpy.longdouble``;
-with plain double the summation noise alone would exceed the residual
-tolerances the eigenrelation tests impose.
+Accumulation detail: everything is evaluated in double, and the finite
+Hankel transform adds its quadrature terms with a double-double pairwise
+tree (``_ddarith.dd_sum``), so the sum itself adds no rounding noise unless
+the terms cancel by more than ~16 digits.  The commute checks read that
+sum through second differences with h = 1e-4, which amplify noise ~1e8
+times: their worst error/tol is 0.0159 with a plain double sum, 0.0123
+with the tree and 0.0106 with every step in 80-bit.  The weighted Fourier
+transform sums in plain double.
 """
 
 import numpy as np
@@ -30,7 +33,6 @@ from .specfun import j_small, j_script_over_power_array
 __all__ = ["apply_finite_hankel", "apply_L", "nystrom_hankel_eigs", "kernel_K",
            "apply_weighted_fourier", "apply_adjoint_fourier"]
 
-_LD = np.longdouble
 _NYSTROM_MAX_C = 40.0
 
 
@@ -48,20 +50,19 @@ def apply_finite_hankel(nu, c, N, f, x, rule):
     ValueError: the quadrature would be wrong without a warning (by 13% at
     N = 0.5 on beta = 0).  x is a scalar (float result) or an ndarray (array
     result of its shape), with 0 < x and c * x <= 12.  f is called once, on
-    the longdouble nodes.
+    the rule's nodes.
     """
     beta = rule.beta
     if beta is None or N < beta or not float(N - beta).is_integer():
         raise ValueError(f"a radial rule with beta={beta} does not integrate the "
                          f"order-{N} Hankel transform; use radial_rule(n, nu, beta=N)")
-    x = np.asarray(x, dtype=_LD)
+    x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("apply_finite_hankel requires x > 0")
-    t = rule.nodes.astype(_LD)
-    kern = j_script_over_power_array(N, _LD(c) * x[..., None] * t, 0.0)
-    fv = np.asarray(f(t), dtype=_LD)
-    out = np.sum(np.asarray(rule.weights, dtype=_LD) * kern * fv, axis=-1)
-    return out.astype(float) if out.ndim else float(out)
+    kern = j_script_over_power_array(N, c * x[..., None] * rule.nodes, 0.0)
+    terms = rule.weights * kern * np.asarray(f(rule.nodes), dtype=float)
+    out = dd.to_float(dd.dd_sum(terms, np.zeros_like(terms), axis=-1))
+    return out if out.ndim else float(out)
 
 
 def _L_once(nu, c, N, f, x, h):
@@ -109,10 +110,12 @@ def nystrom_hankel_eigs(nu, c, N, rule_size, count):
     matvecs; the geometric decay makes each pair converge in a few steps.
 
     Domain: 0 <= c <= 40; larger (or NaN) c raises ValueError.  The kernel
-    argument c x_i x_j reaches c, and the double-double series of
-    ``_ddarith.script_j_int_order`` loses digits to cancellation past 40:
-    against 50-digit mpmath (N in {0, 3}) its absolute error is below
-    1.2e-16 on [36, 40], 1.6e-12 on [45, 50] and 2.9e-8 on [54, 60].
+    argument c x_i x_j reaches c, and the kernel is the one ascending series
+    (``_ddarith.jsmall_series``, summed to a 1e-35 term bound) whose terms
+    peak near I_N(c): against 50-digit mpmath (N in {0, 3}) the absolute
+    error of ``_ddarith.script_j_int_order`` is below 1.5e-16 on [36, 40],
+    4e-12 on [45, 50] and 4.6e-8 on [54, 60].  Lifting the cap needs a
+    double-double Miller recurrence, vectorized over the kernel arguments.
     """
     if not 0 <= c <= _NYSTROM_MAX_C:
         raise ValueError(f"nystrom_hankel_eigs needs 0 <= c <= {_NYSTROM_MAX_C}, got c={c}")
@@ -121,10 +124,10 @@ def nystrom_hankel_eigs(nu, c, N, rule_size, count):
     rule = radial_rule(rule_size, nu)
     n = len(rule.nodes)
     iu = np.triu_indices(n)
-    zh, zl = dd.from_prod(rule.nodes[iu[0]], rule.nodes[iu[1]])
+    zh, zl = dd.two_prod(rule.nodes[iu[0]], rule.nodes[iu[1]])
     zh, zl = dd.mul_d((zh, zl), float(c))
     kh, kl = dd.script_j_int_order(N, zh, zl)
-    swh, swl = dd.sqrt(dd.from_prod(rule.weights[iu[0]], rule.weights[iu[1]]))
+    swh, swl = dd.sqrt(dd.two_prod(rule.weights[iu[0]], rule.weights[iu[1]]))
     eh, el = dd.mul((kh, kl), (swh, swl))
     Mh = np.zeros((n, n))
     Ml = np.zeros((n, n))
@@ -178,13 +181,12 @@ def apply_weighted_fourier(nu, c, f, y, rule):
     evaluated with a polar tensor rule (``rule`` from disk_rule(.., nu)).
     f is either a callable f(x, y), vectorized over the rule's nodes, or an
     array of its values at the nodes (rule.xs, rule.ys), as in
-    ``QuadratureRule.integrate``.  The sum accumulates in clongdouble.
+    ``QuadratureRule.integrate``.
     """
     y = np.asarray(y, dtype=float)
     phase = np.exp(1j * c * (rule.xs * y[0] + rule.ys * y[1]))
     vals = np.asarray(f(rule.xs, rule.ys) if callable(f) else f)
-    acc = np.sum((rule.weights * phase * vals).astype(np.clongdouble))
-    return complex(acc)
+    return complex(np.sum(rule.weights * phase * vals))
 
 
 def apply_adjoint_fourier(nu, c, f, y, rule):

@@ -8,7 +8,7 @@ check grids and tolerances: the acceptance tests run the full suites through
 few seconds.
 
 The lemma1 suite restricts its grid (``lemma1_grid``) to points where the
-identity value is at least ``LEMMA1_FLOOR``, resolvable above the 80-bit
+identity value is at least ``LEMMA1_FLOOR``, resolvable above the double
 cancellation floor of the library quadrature (the transform of a
 high-degree basis function at small argument can be ~1e-24 of the
 integrand scale); the acceptance tests check the corners below that floor

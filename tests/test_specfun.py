@@ -1,11 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diskslepian import _ddarith as dd
 from diskslepian import specfun as sf
-from diskslepian.specfun import _SERIES_CUTOFF, _bessel_miller_ld, _j_small_series_array
+from diskslepian.specfun import _SERIES_CUTOFF, _SERIES_TERM_BOUND, _bessel_miller
 
 import oracles
 
@@ -13,6 +18,18 @@ import oracles
 J_3_7P5 = -0.2580609131934603116626593
 J_1_2 = 0.5767248077568733872024482
 J_0_1 = 0.7651976865579665514497175
+
+
+def cross_regime_gap():
+    """Largest |series - Miller| over a band around the cutoff; the series
+    runs here past the cutoff too, so both branches meet at every point."""
+    gap = 0.0
+    for order in (0.0, 0.5, 3.7, 10.0, 25.0, 40.0):
+        for x in np.linspace(_SERIES_CUTOFF - 0.5, _SERIES_CUTOFF + 0.5, 11):
+            series = dd.to_float(dd.jsmall_series(order, float(x), 0.0, _SERIES_TERM_BOUND))
+            a = (x / 2.0) ** order / math.gamma(order + 1.0) * series
+            gap = max(gap, abs(a - _bessel_miller(order, float(x))))
+    return gap
 
 
 class TestGamma:
@@ -71,12 +88,16 @@ class TestBesselJ:
 
     def test_cross_regime_continuity(self):
         # both evaluation branches must agree in a band around the cutoff
-        for order in (0.0, 0.5, 3.7, 10.0, 25.0, 40.0):
-            for x in np.linspace(_SERIES_CUTOFF - 0.5, _SERIES_CUTOFF + 0.5, 11):
-                a = float((x / 2.0) ** order / math.gamma(order + 1.0)
-                          * _j_small_series_array(order, x))
-                b = float(_bessel_miller_ld(order, float(x)))
-                assert abs(a - b) <= 1e-13
+        assert cross_regime_gap() <= 2e-15
+
+    @pytest.mark.parametrize("fn", [sf.bessel_j, sf.j_small, sf.j_script])
+    @pytest.mark.parametrize("order, x, bad", [
+        (math.nan, 3.0, "order"), (math.inf, 3.0, "order"),
+        (0.5, math.inf, "x"), (0.5, math.nan, "x"), (0.5, -math.inf, "x")])
+    def test_non_finite_input_is_refused_by_name(self, fn, order, x, bad):
+        name = "(order|nu)" if bad == "order" else "x"
+        with pytest.raises(ValueError, match=f"requires a finite {name}, got"):
+            fn(order, x)
 
     @staticmethod
     def _j_any(order, x):
@@ -146,15 +167,46 @@ class TestNormalizedVariants:
 
     def test_vectorized_kernel_matches_scalar(self):
         z = np.linspace(0.0, 11.5, 97)
-        arr = sf.j_script_over_power_array(3.5, z.astype(np.longdouble), 1.5)
+        arr = sf.j_script_over_power_array(3.5, z, 1.5)
         for zi, vi in zip(z[1:], arr[1:]):
             assert float(vi) == pytest.approx(sf.j_script(3.5, zi) / zi ** 1.5,
                                               rel=1e-12, abs=1e-14)
         assert float(arr[0]) == 0.0
 
     def test_vectorized_kernel_refuses_beyond_series_cutoff(self):
-        ok = np.array([0.5, _SERIES_CUTOFF], dtype=np.longdouble)
+        ok = np.array([0.5, _SERIES_CUTOFF])
         assert np.all(np.isfinite(sf.j_script_over_power_array(2.0, ok, 0.0)))
-        for bad in ([0.5, _SERIES_CUTOFF * (1 + 1e-12)], [0.1, 40.0]):
+        for bad in ([0.5, _SERIES_CUTOFF * (1 + 1e-12)], [0.1, 40.0], [0.1, math.nan]):
             with pytest.raises(ValueError):
-                sf.j_script_over_power_array(2.0, np.array(bad, dtype=np.longdouble), 0.0)
+                sf.j_script_over_power_array(2.0, np.array(bad), 0.0)
+
+
+_PLAIN_DOUBLE_SCRIPT = """
+import json, math, sys
+import numpy
+numpy.longdouble = numpy.float64
+numpy.clongdouble = numpy.complex128
+import diskslepian
+sys.path.insert(0, sys.argv[1])
+from test_specfun import cross_regime_gap
+print(json.dumps({
+    "j_script_err": abs(diskslepian.j_script(0.5, 11.0) - math.sqrt(2 / math.pi) * math.sin(11.0)),
+    "gap": cross_regime_gap(),
+}))
+"""
+
+
+def test_accuracy_does_not_rest_on_extended_longdouble():
+    # where numpy.longdouble is plain double (macOS arm64, Windows), the
+    # Bessel core must keep its digits; alias it before the package loads
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(tests_dir), "src")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    out = subprocess.run([sys.executable, "-c", _PLAIN_DOUBLE_SCRIPT, tests_dir],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    res = json.loads(out.stdout.splitlines()[-1])
+    assert res["j_script_err"] <= 1e-14
+    assert res["gap"] <= 2e-15
