@@ -139,8 +139,10 @@ def nystrom_hankel_eigs(nu, c, N, rule_size, count):
     for p in pairs:
         v = (p.vector.copy(), np.zeros(n))
         lam = (p.value, 0.0)
+        # each step's power product M v is the Rayleigh product of the last
+        mh, ml = dd.matvec(Mh, Ml, v[0], v[1])
         for _ in range(5):
-            uh, ul = dd.matvec(Mh, Ml, v[0], v[1])
+            uh, ul = mh, ml
             for q in done:
                 proj = dd.dot(q[0], q[1], uh, ul)
                 corr = dd.mul((q[0], q[1]), proj)

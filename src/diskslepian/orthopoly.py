@@ -3,6 +3,9 @@
 Jacobi and Gegenbauer polynomials, complex disk (Zernike-type) polynomials
 and two-variable Gegenbauer polynomials.  All evaluation goes through
 three-term recurrences; hypergeometric sums appear only in test oracles.
+The orthonormal Jacobi matrix of ``jacobi_recurrence`` defines the Gauss
+rules and the radial Slepian basis; the classical P_k^{(a,b)} of
+``jacobi_sequence`` serve the disk polynomials and the transform checks.
 
 Two printed-formula corrections are baked in (both are forced by the
 orthogonality/quadrature checks in the test suite):
@@ -14,12 +17,11 @@ orthogonality/quadrature checks in the test suite):
   polar substitution x = cos(theta), y = cos(phi) sin(theta)).
 """
 
-import itertools
 import math
 
 import numpy as np
 
-__all__ = ["jacobi_recurrence", "jacobi_values", "jacobi_term", "jacobi_sequence",
+__all__ = ["jacobi_recurrence", "jacobi_term", "jacobi_sequence",
            "gegenbauer_c", "disk_poly", "disk_poly_norm", "gegenbauer2d"]
 
 
@@ -56,43 +58,24 @@ def jacobi_recurrence(n, a, b):
     return alpha, beta
 
 
-def jacobi_values(a, b, u):
-    """P_0^{(a,b)}(u), P_1(u), P_2(u), ... by the three-term recurrence.
-
-    An endless generator of values of u's shape: each is computed when it
-    is asked for, so a caller that accumulates a sum holds two terms at a
-    time.
-    """
-    prev = np.ones_like(u)
-    yield prev
-    cur = (a + 1) + (a + b + 2) * (u - 1) / 2
-    n = 1
-    while True:
-        yield cur
+def jacobi_sequence(nmax, a, b, u):
+    """All Jacobi values P_0^{(a,b)}(u) .. P_nmax(u) by the three-term
+    recurrence, an array of shape (nmax+1,) + shape(u); ``u`` may be a
+    scalar or ndarray."""
+    u = np.asarray(u, dtype=np.result_type(u, float))
+    vals = [np.ones_like(u), (a + 1) + (a + b + 2) * (u - 1) / 2]
+    for n in range(1, nmax):
         c1 = 2 * (n + 1) * (n + a + b + 1) * (2 * n + a + b)
         c2 = (2 * n + a + b + 1) * (a * a - b * b)
         c3 = (2 * n + a + b) * (2 * n + a + b + 1) * (2 * n + a + b + 2)
         c4 = 2 * (n + a) * (n + b) * (2 * n + a + b + 2)
-        prev, cur = cur, ((c2 + c3 * u) * cur - c4 * prev) / c1
-        n += 1
+        vals.append(((c2 + c3 * u) * vals[-1] - c4 * vals[-2]) / c1)
+    return np.array(vals[:nmax + 1], dtype=u.dtype)
 
 
 def jacobi_term(n, a, b, u):
-    """P_n^{(a,b)}(u) alone: ``jacobi_values`` run up to degree n, holding
-    two terms at a time.  Equal, bitwise, to ``jacobi_sequence(n, a, b, u)[n]``.
-    """
-    u = np.asarray(u, dtype=np.result_type(u, float))
-    return next(itertools.islice(jacobi_values(a, b, u), n, None))
-
-
-def jacobi_sequence(nmax, a, b, u):
-    """All Jacobi values P_0..P_nmax at u, stacked from ``jacobi_values``.
-
-    ``u`` may be a scalar or ndarray; returns an array of shape
-    (nmax+1,) + shape(u).
-    """
-    u = np.asarray(u, dtype=np.result_type(u, float))
-    return np.array(list(itertools.islice(jacobi_values(a, b, u), nmax + 1)), dtype=u.dtype)
+    """P_n^{(a,b)}(u) alone, the last row of ``jacobi_sequence(n, a, b, u)``."""
+    return jacobi_sequence(n, a, b, u)[n]
 
 
 def gegenbauer_c(n, order, x):

@@ -15,6 +15,11 @@ so every truncation has chi0(N, n, nu) <= chi_n <= chi0(N, n, nu) + c^2.
 Eigenvalues chi are the Sturm-Liouville spectrum; eigenvectors are the
 expansion coefficients A_k in the orthonormalized basis.
 
+The eigenfunctions are summed on the x^2 matrix (I - J)/2 that the solver
+diagonalises: with s = x^2, T_k / sqrt(h_k) = x^(N+1/2) r_k(s), where r_0 =
+h_0^(-1/2) and row k of x^2 r = (I - J)/2 r gives r_{k+1} = ((s - x2_{k,k})
+r_k - x2_{k-1,k} r_{k-1}) / x2_{k,k+1} (Gautschi, SIAM Rev. 9, 1967).
+
 Sign convention: the paper-facing operator L satisfies L T = -chi T at
 c = 0, so the solver works with Lambda = -L whose spectrum is positive and
 increasing; all reported chi refer to Lambda.
@@ -35,10 +40,12 @@ with the prefactor assembled in log space.  A_0 is carried up from the
 peak coefficient through the leading rows of the tridiagonal system, since
 for small c and high n it lies far below the roundoff of the eigenvector.
 It needs no quadrature and no Bessel function, so it holds for every c the
-truncation reaches.  The 2D
-eigenvalue is lambda = 2 (nu+1) i^N mu; |lambda| <= 1 because the transform
-is a contraction under a probability weight, and a solve that breaks this
-raises ConvergenceError.
+truncation reaches.  The 2D eigenvalue is lambda = 2 (nu+1) i^N mu.  A
+solve is refused (ConvergenceError) where |lambda| exceeds, by 1e-12
+relative, 1 (the transform contracts under a probability weight) or, for
+nu >= 0, 2 (nu+1)/c (Plancherel, as the weight is <= (nu+1)/pi).  That
+refuses the worst wrong mu at high N, not all: (nu, c, N) = (0, 1000, 120)
+and (0, 40, 60) pass it with wrong mu.
 """
 
 import math
@@ -51,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import ConvergenceError, SymTridiagonal, symtri_eigen
-from .orthopoly import jacobi_recurrence, jacobi_values
+from .orthopoly import jacobi_recurrence
 
 __all__ = ["SlepianParams", "RadialMode", "chi0", "build_spectral_matrix",
            "solve_modes", "eval_phi", "eval_R", "eval_psi", "TruncationError"]
@@ -148,8 +155,8 @@ class _BasisTerms(NamedTuple):
     """The c-independent terms of the truncation-K problem at (N, nu), each
     a read-only array over k: the zero-bandwidth diagonal chi0(N, k, nu),
     the diagonal (1 - alpha_k)/2 and off-diagonal -sqrt(beta_{k+1})/2 of
-    the x^2 matrix (I - J)/2, h_k^(-1/2) for the mu closed form and the
-    evaluation constants c-hat_k = (N! k!/(k+N)!) / sqrt(h_k), where
+    the x^2 matrix (I - J)/2, which also drive the eigenfunction
+    recurrence, and h_k^(-1/2) for the mu closed form and r_0, where
     h_k = integral_0^1 T_{N,k}^2 (1-x^2)^nu dx.
 
     The last three are the row terms of ``_certified_truncation``'s tail
@@ -163,7 +170,6 @@ class _BasisTerms(NamedTuple):
     x2_diag: np.ndarray
     x2_off: np.ndarray
     inv_sqrt_h: np.ndarray
-    scale: np.ndarray
     disc_lo: np.ndarray
     gap: np.ndarray
     step: np.ndarray
@@ -179,11 +185,12 @@ def _basis_terms(N, nu, K):
     entry depends on its own k alone: a shorter K is a prefix, bitwise.
 
     h_k = (N!)^2 k! Gamma(k+nu+1) / (2 (2k+N+nu+1) (k+N)! Gamma(k+N+nu+1))
-    follows from the Jacobi orthogonality under u = 1 - 2 x^2; only the mu
-    weights and c-hat_k read it.  Terms that are not finite are kept without
-    a warning: the recurrence is NaN for nu >~ 1e154, which the matrix build
-    refuses, and h_k underflows to 0 at large N and k, which leaves inf
-    weights, refused by the mu step, and NaN c-hat_k and step_k."""
+    follows from the Jacobi orthogonality under u = 1 - 2 x^2.  Terms that
+    are not finite are kept without a warning: the recurrence is NaN for
+    nu >~ 1e154, which the matrix build refuses, and h_k underflows to 0 at
+    large N and k, which leaves inf weights and NaN step_k; the mu step
+    refuses those (weights r_k(0) from the recurrence would stay finite and
+    give mu_0 = -1.9e-28 at nu = 0, c = 1000, N = 400)."""
     # lgamma(j + 1) and lgamma(j + nu + 1) for j < K + N, read at j = k
     # and j = k + N
     lg = [math.lgamma(j + 1) for j in range(K + N)]
@@ -191,9 +198,6 @@ def _basis_terms(N, nu, K):
     lg_N, log2 = lg[N], math.log(2)
     h = [math.exp(2 * lg_N + lg[k] + lg_nu[k] - log2 - math.log(2 * k + N + nu + 1)
                   - lg[k + N] - lg_nu[k + N]) for k in range(K)]
-    # NaN where h_k underflows to 0 (math.log refuses it)
-    scale = [math.exp(lg_N + lg[k] - lg[k + N] - 0.5 * math.log(h_k)) if h_k > 0
-             else math.nan for k, h_k in enumerate(h)]
     alpha, beta = jacobi_recurrence(K + 1, N, nu)
     x2_diag = 0.5 * (1.0 - alpha[:K])
     # |x2_{k-1,k}| at k for k <= K, 0 at k = 0 (no row above row 0)
@@ -206,7 +210,7 @@ def _basis_terms(N, nu, K):
         step = off[:-1] * w[1:] / w[:-1]
     gap = x2_diag - off[1:]
     terms = _BasisTerms(chi0(N, np.arange(K, dtype=float), nu), x2_diag, -off[1:-1], w[1:],
-                        np.array(scale), gap - off[:-1], gap, step)
+                        gap - off[:-1], gap, step)
     for arr in terms:
         arr.setflags(write=False)
     return terms
@@ -406,9 +410,12 @@ def solve_modes(params, num_modes):
 
     mus = _mu_values(params, T, eig)
     lam_max = np.abs(mus).max() * (2 * (nu + 1))  # |lambda| = 2 (nu+1) |mu|
-    if not lam_max <= 1 + 1e-12:  # also refuses NaN
+    # the contraction bounds of the module docstring
+    bound = min(1.0, 2 * (nu + 1) / c) if nu >= 0 and c > 0 else 1.0
+    if not lam_max <= bound * (1 + 1e-12):  # also refuses NaN
         raise ConvergenceError(
-            f"|lambda| = {lam_max:.3g} exceeds 1 at nu={nu}, c={c}, N={N}")
+            f"|lambda| = {lam_max:.6g} exceeds its bound {bound:.6g} by "
+            f"{lam_max / bound - 1:.2g} relative at nu={nu}, c={c}, N={N}")
     lams = 2 * (nu + 1) * _I_POW[N % 4] * mus
     # tuple.__new__ fills each record without a Python-level __new__ call
     return list(map(tuple.__new__, repeat(RadialMode),
@@ -417,16 +424,18 @@ def solve_modes(params, num_modes):
 
 
 def _eval_sum(mode, params, x, radial_power):
-    """sum_k A_k chat_k P_k(1-2x^2) times x**radial_power, vectorized."""
-    nu, N = params.nu, params.N
+    """x**radial_power * sum_k A_k r_k(x^2), vectorized: r_k by the x^2
+    recurrence of the module docstring, one term at a time."""
     x = np.asarray(x, dtype=float)
-    scale = _basis_terms(N, nu, len(mode.coeffs)).scale
-    # forward accumulation, one Jacobi term at a time
-    terms = zip(mode.coeffs * scale, jacobi_values(N, nu, 1 - 2 * x * x))
-    coeff, p = next(terms)
-    acc = coeff * p
-    for coeff, p in terms:
-        acc = acc + coeff * p
+    t = _basis_terms(params.N, params.nu, len(mode.coeffs))
+    s = x * x
+    coeffs, diag = mode.coeffs.tolist(), t.x2_diag.tolist()
+    off = [0.0, *t.x2_off.tolist()]  # off[k] = x2_{k-1,k}, 0 above row 0
+    r_prev, r = 0.0, np.full_like(s, t.inv_sqrt_h[0])
+    acc = coeffs[0] * r
+    for k in range(1, len(coeffs)):
+        r_prev, r = r, ((s - diag[k - 1]) * r - off[k - 1] * r_prev) / off[k]
+        acc += coeffs[k] * r
     return x ** radial_power * acc
 
 

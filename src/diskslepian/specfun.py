@@ -6,19 +6,20 @@ in this package:
     j_small(nu, x)  = Gamma(nu+1) * (2/x)**nu * J_nu(x)     ("small-j", = 1 at x=0)
     j_script(nu, x) = sqrt(x) * J_nu(x)                     ("script-J")
 
-Gamma is the standard library's ``math.gamma``.  Every Bessel value comes
-from one of two sums, returned in 64-bit precision on every platform:
+Gamma is the standard library's ``math.gamma``.  Every scalar Bessel value
+comes from one routine, ``_bessel``, by one of two sums, returned in 64-bit
+precision on every platform; the public functions validate and rescale:
 
 * x <= _SERIES_CUTOFF: the ascending series sum_k (-x^2/4)^k / (k! (nu+1)_k)
   in double-double (``_ddarith.jsmall_series``), over a scalar or an
   ndarray; near the cutoff its terms reach ~1e4 while the sum is O(1), so
   plain double would lose ~3 digits.  The power and Gamma prefactor is
-  assembled in log space (``j_script_over_power_array``);
+  assembled in log space (``_bessel``, ``j_script_over_power_array``);
 * larger x: one backward (Miller) recurrence in plain floats, normalized
   through the Neumann-type sum (x/2)**mu = sum_k (mu+2k) Gamma(mu+k)/k!
   J_{mu+2k}(x) for the fractional base order mu in [0, 1); orders in
-  (-1, 0) step down from nu+1 and nu+2 (``j_small``).  Against 40-digit
-  mpmath its worst absolute error is 8.0e-16 over 240 points x in (12, 60]
+  (-1, 0) step down from nu+1 and nu+2.  Against 40-digit mpmath its worst
+  absolute error is 8.0e-16 over 240 points x in (12, 60]
   at orders {0, 0.5, 3.7, 10, 25, 40} (80-bit arithmetic: 7.4e-16), and
   8.7e-15 at (0.5, 1000), set by the double ``lgamma`` weights.
 
@@ -43,15 +44,26 @@ _SERIES_CUTOFF = 12.0
 # Absolute bound on the last series term, well below the float64 result's ulp.
 _SERIES_TERM_BOUND = 1e-21
 
+# Row cap of the Miller recurrence, about 0.05 s of Python steps.
+_MILLER_MAX_ROWS = 10**5
+
 # Gamma for real x; ValueError at the poles x = 0, -1, -2, ..., OverflowError
 # once the result exceeds the double range (x > ~171.6).
 gamma_fn = math.gamma
 
 
-def _require_finite(fn, **args):
-    for name, value in args.items():
+def _checked(fn, name, nu, x, nu_min, strict=False):
+    """(float(nu), float(x)) for ``fn``, whose order is ``name``; ValueError
+    for a non-finite argument, x < 0, or nu < nu_min (<= where ``strict``)."""
+    nu, x = float(nu), float(x)
+    for label, value in ((name, nu), ("x", x)):
         if not math.isfinite(value):
-            raise ValueError(f"{fn} requires a finite {name}, got {name}={value}")
+            raise ValueError(f"{fn} requires a finite {label}, got {label}={value}")
+    if x < 0:
+        raise ValueError(f"{fn} requires x >= 0, got {x}")
+    if nu < nu_min or strict and nu == nu_min:
+        raise ValueError(f"{fn} requires {name} {'>' if strict else '>='} {nu_min}, got {nu}")
+    return nu, x
 
 
 def _j_small_series(nu, x):
@@ -60,24 +72,27 @@ def _j_small_series(nu, x):
     return dd.to_float(dd.jsmall_series(nu, x, 0.0, _SERIES_TERM_BOUND))
 
 
+def _miller_start(order, x):
+    """Start of the backward recurrence for J_order(x), far enough above
+    max(x, order) that the downward tail has decayed below the precision."""
+    m_int = int(math.floor(order))
+    return m_int + max(0, int(math.ceil(x - m_int))) + int(12.0 * max(x, order) ** (1.0 / 3.0)) + 26
+
+
 def _bessel_miller(order, x):
     """Backward (Miller) recurrence for J_order(x), x above the series cutoff.
 
-    Runs the two-term recurrence downward from a start order well past the
-    turning point and rescales through the fractional Neumann sum
+    Runs the two-term recurrence downward from ``_miller_start`` and
+    rescales through the fractional Neumann sum
     (x/2)**mu = sum_k (mu+2k) Gamma(mu+k)/k! J_{mu+2k}(x), mu = frac(order).
     """
     m_int = int(math.floor(order))
     mu = order - m_int  # fractional base order in [0, 1)
-    # start far enough above max(x, order) that the downward tail has decayed
-    # below the target precision
-    top = max(x, order)
-    start = m_int + max(0, int(math.ceil(x - m_int))) + int(12.0 * top ** (1.0 / 3.0)) + 26
     jp = 0.0  # J~ at order q+1
     jc = 1e-30  # J~ at order q
     target = 0.0
     ssum = 0.0
-    for q_off in range(start, -1, -1):
+    for q_off in range(_miller_start(order, x), -1, -1):
         q = mu + q_off
         jp, jc = jc, (2 * q / x) * jc - jp
         qm = q_off - 1
@@ -93,49 +108,46 @@ def _bessel_miller(order, x):
     return target * math.exp(mu * math.log(x / 2)) / ssum
 
 
+def _bessel(nu, x, small):
+    """J_nu(x), or j_small(nu, x) where ``small``, for nu > -1 and x > 0.
+
+    The series gives j_small, the Miller recurrence J_nu (stepping down from
+    nu+1 and nu+2 for nu < 0); the other takes the prefactor in log space.
+    The Miller cost grows with max(nu, x): a start above _MILLER_MAX_ROWS
+    is a ValueError.
+    """
+    if x <= _SERIES_CUTOFF:
+        j = _j_small_series(nu, x)
+        return j if small else math.exp(nu * math.log(x / 2) - math.lgamma(nu + 1)) * j
+    if _miller_start(nu, x) > _MILLER_MAX_ROWS:
+        raise ValueError(f"the Miller recurrence of J at order {nu} and x = {x} "
+                         f"would run more than {_MILLER_MAX_ROWS} rows")
+    if nu >= 0:
+        j = _bessel_miller(nu, x)
+    else:
+        j = (2 * (nu + 1) / x) * _bessel_miller(nu + 1, x) - _bessel_miller(nu + 2, x)
+    return math.exp(math.lgamma(nu + 1) + nu * math.log(2.0 / x)) * j if small else j
+
+
 def bessel_j(order, x):
     """Bessel function of the first kind J_order(x), real order >= 0, x >= 0.
 
     Absolute error <= 1e-12 for x <= 60 and order <= 40.  Non-finite order
-    or x raises ValueError.
+    or x raises ValueError, as does a Miller start above _MILLER_MAX_ROWS.
     """
-    order = float(order)
-    x = float(x)
-    _require_finite("bessel_j", order=order, x=x)
-    if x < 0:
-        raise ValueError(f"bessel_j requires x >= 0, got {x}")
-    if order < 0:
-        raise ValueError(f"bessel_j requires order >= 0, got {order}")
+    order, x = _checked("bessel_j", "order", order, x, 0.0)
     if x == 0.0:
         return 1.0 if order == 0.0 else 0.0
-    if x <= _SERIES_CUTOFF:
-        return math.exp(order * math.log(x / 2) - math.lgamma(order + 1)) \
-            * _j_small_series(order, x)
-    return _bessel_miller(order, x)
+    return _bessel(order, x, small=False)
 
 
 def j_small(nu, x):
     """Normalized Bessel j_nu(x) = Gamma(nu+1) (2/x)^nu J_nu(x); equals 1 at x=0.
 
-    Defined for nu > -1 and finite x >= 0.
+    Defined for nu > -1 and finite x >= 0, within the row cap of ``bessel_j``.
     """
-    nu = float(nu)
-    x = float(x)
-    _require_finite("j_small", nu=nu, x=x)
-    if nu <= -1:
-        raise ValueError(f"j_small requires nu > -1, got {nu}")
-    if x < 0:
-        raise ValueError(f"j_small requires x >= 0, got {x}")
-    if x <= _SERIES_CUTOFF:
-        return _j_small_series(nu, x)
-    # large argument: rescale bessel_j through logs to dodge overflow in the
-    # Gamma(nu+1) (2/x)^nu prefactor at large nu
-    if nu >= 0:
-        j = _bessel_miller(nu, x)
-    else:
-        # nu in (-1, 0): step down from nonnegative orders (stable direction)
-        j = (2 * (nu + 1) / x) * _bessel_miller(nu + 1, x) - _bessel_miller(nu + 2, x)
-    return math.exp(math.lgamma(nu + 1) + nu * math.log(2.0 / x)) * j
+    nu, x = _checked("j_small", "nu", nu, x, -1.0, strict=True)
+    return 1.0 if x == 0.0 else _bessel(nu, x, small=True)
 
 
 def j_script(nu, x):
@@ -143,19 +155,10 @@ def j_script(nu, x):
 
     At x=0 the series limit is 0 for nu > -1/2 and sqrt(2/pi) at nu = -1/2.
     """
-    nu = float(nu)
-    x = float(x)
-    _require_finite("j_script", nu=nu, x=x)
-    if x < 0:
-        raise ValueError(f"j_script requires x >= 0, got {x}")
-    if nu < -0.5:
-        raise ValueError(f"j_script limit diverges at x=0 for nu < -1/2 (nu={nu})")
+    nu, x = _checked("j_script", "nu", nu, x, -0.5)
     if x == 0.0:
         return math.sqrt(2.0 / math.pi) if nu == -0.5 else 0.0
-    if nu < 0:
-        # the (-1/2, 0) sliver, which bessel_j does not take
-        return math.sqrt(x) * (x / 2.0) ** nu / gamma_fn(nu + 1.0) * j_small(nu, x)
-    return math.sqrt(x) * bessel_j(nu, x)
+    return math.sqrt(x) * _bessel(nu, x, small=False)
 
 
 def j_script_over_power_array(order, z, power):

@@ -3,7 +3,8 @@
 Everything here recomputes expected values from first principles: extended
 precision series (mpmath), finite hypergeometric sums, adaptive Simpson
 quadrature, Sturm-sequence bisection for tridiagonal spectra, and an
-extended-precision eigensolve of the radial spectral matrix.  It also holds
+extended-precision eigensolve of the radial spectral matrix, for mu and for
+the eigenfunctions.  It also holds
 reference implementations that the library does not use: the radial basis
 function T_{N,n} (``t_basis``), its norms (``t_norm_sq``) and x^2
 recurrence (``x2_recurrence_coeffs``) one index at a time, the scalar
@@ -160,41 +161,100 @@ def jacobi_recurrence_mp(n, a, b):
     return alpha, beta
 
 
-def slepian_mu_mp(nu, c, N, K, count, dps=80):
-    """mu_{N,n}, n < count, from an extended-precision eigensolve of the
-    K x K spectral matrix of Lambda = -L_{c,N,nu} in the orthonormalized
-    T basis, through Slepian's coefficient-ratio formula.
+def _spectral_tridiag_mp(nu, c, N, K):
+    """Diagonal, off-diagonal and the norms h_0..h_{K-1} of the K x K
+    spectral matrix of Lambda = -L_{c,N,nu} in the orthonormalized T basis,
+    as mpf lists at the working precision.
 
     The norms h_k and the x^2 recurrence of T_{N,k}(x) = x^(N+1/2) N! k!/(k+N)!
     P_k^{(N,nu)}(1-2x^2) are written out here from the Jacobi polynomial
-    identities; ``dps`` must leave digits to spare below the smallest
+    identities.
+    """
+    nu, c = mp.mpf(nu), mp.mpf(c)
+    h = [mp.exp(2 * mp.loggamma(N + 1) + mp.loggamma(k + 1)
+                + mp.loggamma(k + nu + 1) - mp.log(2 * (2 * k + N + nu + 1))
+                - mp.loggamma(k + N + 1) - mp.loggamma(k + N + nu + 1)) for k in range(K)]
+    diag, off = [], []
+    for k in range(K):
+        s = 2 * k + N + nu
+        a = -(k + N + 1) * (k + N + nu + 1) / ((s + 1) * (s + 2))
+        b = (nu - N) / (N + nu + 2) if k == 0 else (nu * nu - N * N) / (s * (s + 2))
+        diag.append((N + 2 * k + mp.mpf(1) / 2) * (N + 2 * nu + 2 * k + mp.mpf(3) / 2)
+                    + c * c * (1 - b) / 2)
+        if k < K - 1:
+            off.append(c * c * a * mp.sqrt(h[k + 1] / h[k]))
+    return diag, off, h
+
+
+def slepian_mu_mp(nu, c, N, K, count, dps=80):
+    """mu_{N,n}, n < count, from an extended-precision eigensolve of the
+    K x K spectral matrix of Lambda = -L_{c,N,nu} in the orthonormalized
+    T basis (``_spectral_tridiag_mp``), through Slepian's coefficient-ratio
+    formula.  ``dps`` must leave digits to spare below the smallest
     coefficient A_0 (about mu itself).
     """
     with mp.workdps(dps):
+        diag, off, h = _spectral_tridiag_mp(nu, c, N, K)
         nu, c = mp.mpf(nu), mp.mpf(c)
-
-        def h(k):
-            return mp.exp(2 * mp.loggamma(N + 1) + mp.loggamma(k + 1)
-                          + mp.loggamma(k + nu + 1) - mp.log(2 * (2 * k + N + nu + 1))
-                          - mp.loggamma(k + N + 1) - mp.loggamma(k + N + nu + 1))
-
         T = mp.zeros(K, K)
         for k in range(K):
-            s = 2 * k + N + nu
-            a = -(k + N + 1) * (k + N + nu + 1) / ((s + 1) * (s + 2))
-            b = (nu - N) / (N + nu + 2) if k == 0 else (nu * nu - N * N) / (s * (s + 2))
-            T[k, k] = (N + 2 * k + mp.mpf(1) / 2) * (N + 2 * nu + 2 * k + mp.mpf(3) / 2) \
-                + c * c * (1 - b) / 2
+            T[k, k] = diag[k]
             if k < K - 1:
-                T[k, k + 1] = T[k + 1, k] = c * c * a * mp.sqrt(h(k + 1) / h(k))
+                T[k, k + 1] = T[k + 1, k] = off[k]
         E, Q = mp.eigsy(T)
         order = sorted(range(K), key=lambda i: E[i])
-        pref = c ** N * mp.gamma(nu + 1) / (2 ** (N + 1) * mp.gamma(N + nu + 2) * mp.sqrt(h(0)))
+        pref = c ** N * mp.gamma(nu + 1) / (2 ** (N + 1) * mp.gamma(N + nu + 2) * mp.sqrt(h[0]))
         out = []
         for j in order[:count]:
-            tip = sum(Q[k, j] / mp.sqrt(h(k)) for k in range(K))
+            tip = sum(Q[k, j] / mp.sqrt(h[k]) for k in range(K))
             out.append(float(pref * Q[0, j] / tip))
         return out
+
+
+def slepian_phi_mp(nu, c, N, K, count, xs, dps=40):
+    """phi_{N,n}(x) at the points xs for n < count, an array (count,
+    len(xs)), from the K x K spectral matrix in extended precision.
+
+    Each eigenvector comes from inverse iteration on the tridiagonal,
+    shifted by the double eigenvalue of the rounded matrix: a shift within
+    ~1e-13 relative of chi_n gains ~10 digits a step, so four steps reach
+    the working precision.  Its sign makes the largest |A_k| positive, as
+    in the library.  The basis T_{N,k} / sqrt(h_k) is summed from the
+    hypergeometric Jacobi values of ``mpmath.jacobi``, not from a
+    recurrence.
+    """
+    with mp.workdps(dps):
+        diag, off, h = _spectral_tridiag_mp(nu, c, N, K)
+        shifts = np.linalg.eigvalsh(np.diag([float(d) for d in diag])
+                                    + np.diag([float(e) for e in off], 1)
+                                    + np.diag([float(e) for e in off], -1))[:count]
+        basis = []
+        for k in range(K):
+            norm = mp.exp(mp.loggamma(N + 1) + mp.loggamma(k + 1) - mp.loggamma(k + N + 1)) \
+                / mp.sqrt(h[k])
+            basis.append([norm * mp.mpf(x) ** (N + mp.mpf(1) / 2)
+                          * mp.jacobi(k, N, mp.mpf(nu), 1 - 2 * mp.mpf(x) ** 2) for x in xs])
+        out = []
+        for shift in shifts:
+            v = [mp.mpf(1)] * K
+            for _ in range(4):
+                # Thomas sweep of (T - shift) y = v
+                piv, rhs = [diag[0] - shift], [v[0]]
+                for k in range(1, K):
+                    m = off[k - 1] / piv[-1]
+                    piv.append(diag[k] - shift - m * off[k - 1])
+                    rhs.append(v[k] - m * rhs[-1])
+                y = [rhs[-1] / piv[-1]]
+                for k in range(K - 2, -1, -1):
+                    y.append((rhs[k] - off[k] * y[-1]) / piv[k])
+                y.reverse()
+                nrm = mp.sqrt(mp.fsum(t * t for t in y))
+                v = [t / nrm for t in y]
+            if max(v, key=abs) < 0:
+                v = [-t for t in v]
+            out.append([float(mp.fsum(a * b[j] for a, b in zip(v, basis)))
+                        for j in range(len(xs))])
+        return np.array(out)
 
 
 def gershgorin_truncation(params, num_modes, ceiling):

@@ -9,7 +9,7 @@ import pytest
 
 from diskslepian import operators as ops
 from diskslepian import slepian as sl
-from diskslepian.orthopoly import jacobi_sequence
+from diskslepian.orthopoly import jacobi_recurrence
 from diskslepian.quadrature import disk_rule, radial_rule
 from diskslepian.slepian import RadialMode, SlepianParams, TruncationError
 
@@ -94,14 +94,10 @@ class TestSpectralMatrix:
     def test_mu_weights_and_evaluation_constants_match_scalar_recipe_bitwise(self, nu, N, K):
         # the mu weights h_k^(-1/2) are 1 / sqrt(h_k), two correctly rounded
         # operations, so they do not depend on numpy's power kernel; the
-        # evaluation constants c-hat_k follow the lgamma closed form
+        # first is also r_0, where the eigenfunction recurrence starts
         h = [t_norm_sq(TBasisIndex(N, k, nu)) for k in range(K)]
-        log_c = [math.lgamma(N + 1) + math.lgamma(k + 1) - math.lgamma(k + N + 1)
-                 for k in range(K)]
         terms = sl._basis_terms(N, nu, K)
         assert terms.inv_sqrt_h.tolist() == [1 / math.sqrt(h_k) for h_k in h]
-        assert terms.scale.tolist() == [math.exp(lc - 0.5 * math.log(h_k))
-                                        for lc, h_k in zip(log_c, h)]
 
 
 class TestSolveModes:
@@ -390,8 +386,6 @@ class TestBasisTerms:
         terms = sl._basis_terms(400, 3.0, 285)
         assert np.all(np.isposinf(terms.inv_sqrt_h[190:]))
         assert np.all(np.isfinite(terms.inv_sqrt_h[:190]))
-        assert np.all(np.isnan(terms.scale[190:]))
-        assert np.all(np.isfinite(terms.scale[:190]))
         with pytest.raises(sl.ConvergenceError, match="overflow"):
             sl.solve_modes(p, 5)
 
@@ -423,12 +417,16 @@ class TestBasisTerms:
         xs = np.linspace(0.05, 1.0, 7)
         got = sl.eval_phi(modes[2], p, xs)
         assert len(seen) == 1 and seen[0] is real(3, 0.9127, K)
-        # the same sum with a fresh build's constants, in the same order
-        scale = real.__wrapped__(3, 0.9127, K).scale
-        P = jacobi_sequence(K - 1, 3, 0.9127, 1 - 2 * xs * xs)
-        acc = modes[2].coeffs[0] * scale[0] * P[0]
+        # the same recurrence with a fresh build's terms, in the same order
+        fresh = real.__wrapped__(3, 0.9127, K)
+        d, e = fresh.x2_diag, fresh.x2_off
+        s = xs * xs
+        r = [np.full_like(s, fresh.inv_sqrt_h[0]), (s - d[0]) * fresh.inv_sqrt_h[0] / e[0]]
+        for k in range(2, K):
+            r.append(((s - d[k - 1]) * r[k - 1] - e[k - 2] * r[k - 2]) / e[k - 1])
+        acc = modes[2].coeffs[0] * r[0]
         for k in range(1, K):
-            acc = acc + modes[2].coeffs[k] * scale[k] * P[k]
+            acc = acc + modes[2].coeffs[k] * r[k]
         assert np.array_equal(got, xs ** 3.5 * acc)
 
 
@@ -443,20 +441,43 @@ class TestEvaluation:
             assert np.max(np.abs(sl.eval_phi(m, p, xs) - that)) <= 1e-12
 
     def test_phi_matches_stacked_jacobi_sum_bitwise(self):
-        # eval_phi accumulates the Jacobi terms one at a time; the same sum
-        # over the stacked recurrence, in the same order, is the reference
+        # eval_phi accumulates the basis terms one at a time; the reference
+        # stacks the same x^2 recurrence, taken from the Jacobi coefficients
+        # (alpha, beta) of (1-u)^2 (1+u)^(-1/2) and the oracle's h_0, and
+        # sums it in the same order
         p = SlepianParams(nu=-0.5, c=7.0, N=2)
         m = sl.solve_modes(p, 3)[2]
         xs = np.linspace(0.05, 1.0, 7)
         K = len(m.coeffs)
-        P = jacobi_sequence(K - 1, 2, -0.5, 1 - 2 * xs * xs)
+        alpha, beta = jacobi_recurrence(K, 2, -0.5)
+        d = [0.5 * (1.0 - a) for a in alpha.tolist()]
+        e = [-(0.5 * math.sqrt(b)) for b in beta[1:].tolist()]
+        s = xs * xs
+        r0 = 1 / math.sqrt(t_norm_sq(TBasisIndex(2, 0, -0.5)))
+        R = np.empty((K, len(xs)))
+        R[0], R[1] = r0, (s - d[0]) * r0 / e[0]
+        for k in range(2, K):
+            R[k] = ((s - d[k - 1]) * R[k - 1] - e[k - 2] * R[k - 2]) / e[k - 1]
         acc = None
         for k in range(K):
-            idx = TBasisIndex(2, k, -0.5)
-            log_c = math.lgamma(3) + math.lgamma(k + 1) - math.lgamma(k + 3)
-            term = m.coeffs[k] * math.exp(log_c - 0.5 * math.log(t_norm_sq(idx))) * P[k]
+            term = m.coeffs[k] * R[k]
             acc = term if acc is None else acc + term
         assert np.array_equal(sl.eval_phi(m, p, xs), xs ** 2.5 * acc)
+
+    @pytest.mark.parametrize("N", [0, 4])
+    def test_phi_against_extended_precision_eigenfunctions(self, N):
+        # all 30 modes at (nu, c) = (2.9, 80), on 40 points up to x = 1,
+        # where the basis grows like k^(nu+1/2); the error is relative to
+        # max|phi| of each mode.  The recurrence of the x^2 matrix gives
+        # about 2e-12; Jacobi values times separate lgamma constants gave
+        # 1.5e-11 (N = 0) and 9.8e-12 (N = 4)
+        p = SlepianParams(nu=2.9, c=80.0, N=N)
+        modes = sl.solve_modes(p, 30)
+        xs = np.linspace(0.0, 1.0, 41)[1:]
+        ref = oracles.slepian_phi_mp(2.9, 80.0, N, modes[0].truncation, 30, xs.tolist())
+        got = np.array([sl.eval_phi(m, p, xs) for m in modes])
+        err = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        assert err.max() <= 3e-12
 
     def test_phi_normalized(self):
         p = SlepianParams(nu=1.0, c=2.0, N=1)
@@ -554,6 +575,25 @@ class TestEvaluation:
             assert np.all(mags <= 1 + 1e-12)
             assert np.all(mags[:, 1:] <= mags[:, :-1] * (1 + 1e-9))
             assert np.all(mags[1:, :] <= mags[:-1, :] * (1 + 1e-9))
+
+
+class TestContractionBound:
+    """For nu >= 0, |mu| <= 1/c (|lambda| <= 2 (nu+1)/c), from Plancherel and
+    w_nu <= (nu+1)/pi on the disk."""
+
+    @pytest.mark.parametrize("nu,c,N,modes", [(0.0, 200.0, 90, 3), (0.0, 1000.0, 60, 3),
+                                              (0.0, 4000.0, 50, 3), (0.0, 1000.0, 30, 8)])
+    def test_high_order_solves_above_the_bound_are_refused(self, nu, c, N, modes):
+        # wrong mu at high N, with |mu| c - 1 from +4.9e-10 to +3.5e-2
+        with pytest.raises(sl.ConvergenceError, match="exceeds its bound"):
+            sl.solve_modes(SlepianParams(nu, c, N), modes)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 1.3, 2.9])
+    def test_solves_up_to_c_80_are_not_refused(self, nu):
+        for c in (0.5, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0):
+            for N in (0, 1, 4, 10):
+                modes = sl.solve_modes(SlepianParams(nu, c, N), 30)
+                assert max(abs(m.mu) for m in modes) * c <= 1 + 1e-12
 
 
 class TestLargeBandwidth:

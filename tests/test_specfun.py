@@ -181,6 +181,37 @@ class TestNormalizedVariants:
                 sf.j_script_over_power_array(2.0, np.array(bad), 0.0)
 
 
+_ROW_CAP_SCRIPT = """
+import json
+from diskslepian import specfun as sf
+out = []
+for fn, args in [(sf.j_small, (1e300, 13.0)), (sf.bessel_j, (1e9, 20.0)),
+                 (sf.j_script, (0.5, 1e9))]:
+    try:
+        out.append(repr(fn(*args)))
+    except ValueError as exc:
+        out.append(str(exc))
+print(json.dumps(out))
+"""
+
+
+def test_miller_cost_is_bounded():
+    # the Miller recurrence runs from above max(order, x): these would run
+    # for minutes or forever, so they are refused by name; a subprocess
+    # with a timeout makes a regression fail rather than hang
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    out = subprocess.run([sys.executable, "-c", _ROW_CAP_SCRIPT],
+                         capture_output=True, text=True, env=env, timeout=10)
+    assert out.returncode == 0, out.stderr
+    msgs = json.loads(out.stdout.splitlines()[-1])
+    for msg, (order, x) in zip(msgs, [("1e+300", "13.0"), ("1000000000.0", "20.0"),
+                                      ("0.5", "1000000000.0")]):
+        assert f"order {order} and x = {x} would run more than 100000 rows" in msg
+
+
 _PLAIN_DOUBLE_SCRIPT = """
 import json, math, sys
 import numpy
