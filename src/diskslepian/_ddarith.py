@@ -127,6 +127,29 @@ def dot(uh, ul, vh, vl):
     return dd_sum(ph, pe, axis=0)
 
 
+# order -> dd coefficients 1 / (k! (order+1)_k), k = 0, 1, ..., as far as
+# any call has needed them.  Emptied when it holds _MAX_ORDERS orders, so a
+# sweep over many orders does not grow it without bound
+_SERIES_COEFFS = {}
+_MAX_ORDERS = 256
+
+
+def _series_coeffs(order, count):
+    """At least the first ``count`` dd coefficients 1 / (k! (order+1)_k) of
+    ``jsmall_series``, each from the one before it.  A longer request extends
+    a copy of the cached list and stores it, so a list another caller holds
+    never changes."""
+    coeffs = _SERIES_COEFFS.get(order, [(1.0, 0.0)])
+    if len(coeffs) < count:
+        coeffs = list(coeffs)
+        for k in range(len(coeffs), count):
+            coeffs.append(div(coeffs[-1], mul_d(two_sum(order, float(k)), float(k))))
+        if len(_SERIES_COEFFS) >= _MAX_ORDERS:
+            _SERIES_COEFFS.clear()
+        _SERIES_COEFFS[order] = coeffs
+    return coeffs
+
+
 def jsmall_series(order, zh, zl, tol):
     """dd sum of the normalized small-Bessel series
 
@@ -146,14 +169,13 @@ def jsmall_series(order, zh, zl, tol):
     order = float(order)
     qh, ql = mul_d(mul((zh, zl), (zh, zl)), -0.25)
     qmax = -float(np.min(qh, initial=0.0))
-    coeffs = [(1.0, 0.0)]  # 1 / (k! (order+1)_k) in dd, on Python floats
-    bound, k = 1.0, 0
+    bound, K = 1.0, 0
     while bound > tol:
-        k += 1
-        coeffs.append(div(coeffs[-1], mul_d(two_sum(order, float(k)), float(k))))
-        bound *= qmax / (k * (order + k))
-    sh, sl = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
+        K += 1
+        bound *= qmax / (K * (order + K))
+    coeffs = _series_coeffs(order, K + 1)
+    sh, sl = coeffs[K]
+    for c in reversed(coeffs[:K]):
         sh, sl = add(mul((sh, sl), (qh, ql)), c)
     return sh, sl
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import ConvergenceError
-from .slepian import SlepianParams, TruncationError, eval_phi, eval_psi, solve_modes
+from .slepian import SlepianParams, eval_phi, eval_psi, solve_modes
 from .transforms import disk_transform_closed, gegenbauer2d_transform_closed
 
 SCHEMA_VERSION = 1
@@ -198,26 +198,25 @@ def cmd_transform(args):
         if args.family == "disk":
             if args.m is None:
                 raise UsageError("disk family needs --m")
-            res = disk_transform_closed(args.nu, args.n, args.m, args.rho,
-                                        args.theta, args.constant_source)
+            res = disk_transform_closed(args.nu, args.n, args.m, args.rho, args.theta)
             idx = {"n": args.n, "m": args.m}
         else:
             if args.k is None:
                 raise UsageError("gegenbauer family needs --k")
             res = gegenbauer2d_transform_closed(args.nu, args.n, args.k,
-                                                args.rho, args.theta,
-                                                args.constant_source)
+                                                args.rho, args.theta)
             idx = {"n": args.n, "k": args.k}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    # "constant_source" stays in the output for readers of earlier files;
+    # the derived constant is the only one
     config = {"command": "transform", "family": args.family, "nu": args.nu,
               "rho": args.rho, "theta": args.theta,
-              "constant_source": args.constant_source, **idx}
+              "constant_source": "derived", **idx}
     result = {"re": res.value.real, "im": res.value.imag,
-              "constant_source": res.constant_source}
-    if res.discrepancy_log is not None:
-        result["derived_over_paper_re"] = res.discrepancy_log.real
-        result["derived_over_paper_im"] = res.discrepancy_log.imag
+              "constant_source": "derived",
+              "derived_over_paper_re": res.discrepancy_log.real,
+              "derived_over_paper_im": res.discrepancy_log.imag}
     _emit(_json_payload(config, [result]), args.out)
     return 0
 
@@ -280,8 +279,6 @@ def _build_parser():
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--constant-source", choices=("derived", "paper"),
-                   default="derived")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_transform)
     return ap
@@ -299,8 +296,8 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, TruncationError, OverflowError,
-            FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, OverflowError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -1,21 +1,19 @@
-"""Dense symmetric and symmetric-tridiagonal eigensolvers.
+"""Symmetric-tridiagonal eigensolver.
 
-Thin, contract-enforcing wrappers around numpy's LAPACK: both solvers go
-through one ``numpy.linalg.eigh`` call (a tridiagonal matrix is passed
-densely).  The dense solve is the slower one: with one BLAS thread on a
-2-vCPU Xeon it took 1.3-1.6 times as long as LAPACK's tridiagonal
-``dstevd`` at K = 52 and 1.6-2.0 times at K = 80 (three runs of each).
+A thin, contract-enforcing wrapper around numpy's LAPACK: the tridiagonal
+matrix is passed densely to one ``numpy.linalg.eigh`` call.  With one BLAS
+thread on a 2-vCPU Xeon that took 1.3-1.6 times as long as LAPACK's
+tridiagonal ``dstevd`` at K = 52 and 1.6-2.0 times at K = 80 (three runs
+of each).
 ``eigh`` is kept because numpy exposes no tridiagonal solver and ``dstevd``
 would bring scipy into the runtime, which stays numpy-only.  The value
 added here is the ordering, sign and residual conventions that the rest of
 the package relies on:
 
-* ``symtri_eigen``  -- eigenvalues ascending (Sturm-Liouville convention),
-  returned as read-only arrays: an ``Eigenpairs`` of the (count,) values,
-  the (count, K) eigenvectors as rows, each row's ``peak`` index and
-  ``top``, the magnitude of the entry there, read in the sign pass,
-* ``dense_sym_eigen`` -- eigenvalues by descending magnitude (integral-operator
-  convention), returned as a list of ``EigenPair`` with read-only vectors,
+* eigenvalues ascending (Sturm-Liouville convention), returned as
+  read-only arrays: an ``Eigenpairs`` of the (count,) values, the
+  (count, K) eigenvectors as rows, each row's ``peak`` index and ``top``,
+  the magnitude of the entry there, read in the sign pass,
 * deterministic eigenvector sign: each vector is LAPACK's column times +-1,
   found in one pass, so that its component of largest magnitude (at
   ``peak``) is positive.  LAPACK's vectors are unit to roundoff (within
@@ -29,16 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["SymTridiagonal", "EigenPair", "Eigenpairs", "symtri_eigen",
-           "dense_sym_eigen", "ConvergenceError", "AsymmetryError"]
+           "ConvergenceError"]
 
 
 class ConvergenceError(RuntimeError):
     """Eigensolver failed to converge, its input overflowed, or its result
     broke a physical bound."""
-
-
-class AsymmetryError(ValueError):
-    """Input matrix is not symmetric to the required tolerance."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,8 @@ class SymTridiagonal:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One (value, unit-norm vector) pair."""
+    """One (value, vector) pair, as ``operators.nystrom_hankel_eigs``
+    returns them."""
 
     value: float
     vector: np.ndarray
@@ -105,39 +100,19 @@ class Eigenpairs:
         return len(self.values)
 
 
-def _eigen_rows(A, count, by_magnitude=False):
-    """First ``count`` eigenpairs of symmetric A, values ascending or by
-    descending magnitude: (values, read-only C-contiguous rows of
-    sign-fixed unit vectors, peak index of each row, |entry| at the peak)."""
-    if count < 1 or count > len(A):
-        raise ValueError(f"count must be in [1, {len(A)}], got {count}")
+def symtri_eigen(T, count):
+    """Lowest ``count`` eigenpairs of a SymTridiagonal, values ascending."""
+    if count < 1 or count > T.dim:
+        raise ValueError(f"count must be in [1, {T.dim}], got {count}")
     try:
-        vals, vecs = np.linalg.eigh(A)
+        vals, vecs = np.linalg.eigh(T.to_dense())
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(-np.abs(vals), kind="stable")[:count] if by_magnitude else slice(count)
-    vals, rows = vals[order], vecs[:, order].T.copy()
+    vals, rows = vals[:count], vecs[:, :count].T.copy()
     peak = np.abs(rows).argmax(axis=1)
     at_peak = rows[np.arange(count), peak]
     rows *= np.copysign(1.0, at_peak)[:, None]
     top = np.abs(at_peak)
     for arr in (vals, rows, peak, top):
         arr.setflags(write=False)
-    return vals, rows, peak, top
-
-
-def symtri_eigen(T, count):
-    """Lowest ``count`` eigenpairs of a SymTridiagonal, values ascending."""
-    return Eigenpairs(*_eigen_rows(T.to_dense(), count))
-
-
-def dense_sym_eigen(A, count, sym_tol=1e-12):
-    """Top ``count`` eigenpairs of a symmetric matrix by descending |value|."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("dense_sym_eigen expects a square matrix")
-    scale = np.max(np.abs(A))
-    if scale > 0 and np.max(np.abs(A - A.T)) > sym_tol * scale:
-        raise AsymmetryError("matrix is not symmetric to relative 1e-12")
-    vals, rows, _, _ = _eigen_rows(0.5 * (A + A.T), count, by_magnitude=True)
-    return [EigenPair(float(v), row) for v, row in zip(vals, rows)]
+    return Eigenpairs(vals, rows, peak, top)

@@ -26,7 +26,7 @@ transform sums in plain double.
 import numpy as np
 
 from . import _ddarith as dd
-from .linalg import EigenPair, dense_sym_eigen
+from .linalg import EigenPair
 from .quadrature import radial_rule
 from .specfun import j_small, j_script_over_power_array
 
@@ -119,8 +119,8 @@ def nystrom_hankel_eigs(nu, c, N, rule_size, count):
     """
     if not 0 <= c <= _NYSTROM_MAX_C:
         raise ValueError(f"nystrom_hankel_eigs needs 0 <= c <= {_NYSTROM_MAX_C}, got c={c}")
-    if rule_size < 4 * count:
-        raise ValueError("rule_size must be at least 4*count")
+    if count < 1 or rule_size < 4 * count:
+        raise ValueError("need count >= 1 and rule_size >= 4*count")
     rule = radial_rule(rule_size, nu)
     n = len(rule.nodes)
     iu = np.triu_indices(n)
@@ -133,12 +133,15 @@ def nystrom_hankel_eigs(nu, c, N, rule_size, count):
     Ml = np.zeros((n, n))
     Mh[iu], Ml[iu] = eh, el
     Mh[(iu[1], iu[0])], Ml[(iu[1], iu[0])] = eh, el
-    pairs = dense_sym_eigen(Mh, count)
+    # Mh is symmetric by construction; its pairs by descending |lambda|,
+    # each vector signed so that its largest |entry| is positive
+    vals, vecs = np.linalg.eigh(Mh)
+    order = np.argsort(-np.abs(vals), kind="stable")[:count]
     out = []
     done = []  # refined dd vectors, largest |lambda| first
-    for p in pairs:
-        v = (p.vector.copy(), np.zeros(n))
-        lam = (p.value, 0.0)
+    for val, col in zip(vals[order], vecs[:, order].T):
+        v = (col * np.copysign(1.0, col[np.abs(col).argmax()]), np.zeros(n))
+        lam = (float(val), 0.0)
         # each step's power product M v is the Rayleigh product of the last
         mh, ml = dd.matvec(Mh, Ml, v[0], v[1])
         for _ in range(5):

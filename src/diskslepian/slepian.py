@@ -77,7 +77,7 @@ _MAX_TRUNCATION = 4096
 _MAX_WEIGHT_GROWTH = 1e7
 
 
-class TruncationError(RuntimeError):
+class TruncationError(ConvergenceError):
     """Truncation growth exceeded the hard cap (c unreasonably large)."""
 
 

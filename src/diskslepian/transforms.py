@@ -24,8 +24,9 @@ transform divided by the shape at a fixed reference point) in the
 theorem41 verify suite and the test suite.  The printed prefactors fail
 their own consistency anchor (the n=m=0 transform of the constant function
 must equal the iterated-kernel value j_{nu+1}(rho), which pins C_{0,0} =
-Gamma(nu+2)); they stay available behind ``constant_source="paper"``, and
-every default result carries the shipped/printed ratio for logging.
+Gamma(nu+2)), so no result uses them; every result carries the
+shipped/printed ratio, from which the printed form is recovered as
+value / discrepancy_log.
 
 Shape corrections relative to the printed statements (both forced by
 constant-free two-point ratio tests and by the radial structure of the
@@ -54,15 +55,11 @@ __all__ = ["ClosedFormResult", "lemma1_rhs", "disk_transform_closed",
 
 @dataclass(frozen=True)
 class ClosedFormResult:
-    """Closed-form transform value with constant provenance.
-
-    ``discrepancy_log`` holds the shipped/printed constant ratio whenever
-    the shipped constant is in use (None for constant_source="paper").
-    """
+    """Closed-form transform value and ``discrepancy_log``, the
+    shipped/printed constant ratio."""
 
     value: complex
-    constant_source: str
-    discrepancy_log: complex | None = None
+    discrepancy_log: complex
 
 
 def lemma1_rhs(alpha, beta, n, x):
@@ -124,23 +121,16 @@ def _check_domain(nu, indices, rho, angle, order):
         raise ValueError(f"Bessel order {order:g} exceeds 40")
 
 
-def _result(const, paper, shape, constant_source):
-    if constant_source == "paper":
-        return ClosedFormResult(paper * shape, "paper")
-    if constant_source != "derived":
-        raise ValueError("constant_source must be 'derived' or 'paper'")
-    return ClosedFormResult(const * shape, "derived", const / paper)
-
-
-def disk_transform_closed(nu, n, m, rho, vartheta, constant_source="derived"):
+def disk_transform_closed(nu, n, m, rho, vartheta):
     """Closed-form weighted Fourier transform (c=1) of the disk polynomial
     D^nu_{n,m}, evaluated at y = (rho cos vartheta, rho sin vartheta)."""
     _check_domain(nu, (n, m), rho, vartheta, nu + n + m + 1)
-    return _result(_disk_constant(nu, n, m), _paper_disk_constant(nu, n, m),
-                   _disk_shape(nu, n, m, rho, vartheta), constant_source)
+    const = _disk_constant(nu, n, m)
+    return ClosedFormResult(const * _disk_shape(nu, n, m, rho, vartheta),
+                            const / _paper_disk_constant(nu, n, m))
 
 
-def gegenbauer2d_transform_closed(nu, n, k, rho, phi, constant_source="derived"):
+def gegenbauer2d_transform_closed(nu, n, k, rho, phi):
     """Closed-form weighted Fourier transform (c=1, weight w_nu) of the
     two-variable Gegenbauer polynomial P^{nu+1/2}_{n,k} at
     y = (rho cos phi, rho sin phi)."""
@@ -149,5 +139,6 @@ def gegenbauer2d_transform_closed(nu, n, k, rho, phi, constant_source="derived")
         raise ValueError("the Gegenbauer family needs nu != -1/2")
     if not k <= n:
         raise ValueError("need 0 <= k <= n")
-    return _result(_gegen2d_constant(nu, n, k), _paper_gegen2d_constant(nu, n, k),
-                   _gegen2d_shape(nu, n, k, rho, phi), constant_source)
+    const = _gegen2d_constant(nu, n, k)
+    return ClosedFormResult(const * _gegen2d_shape(nu, n, k, rho, phi),
+                            const / _paper_gegen2d_constant(nu, n, k))

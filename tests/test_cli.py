@@ -186,14 +186,18 @@ class TestTransformCommand:
         assert payload["results"][0]["im"] == ref.value.imag
         assert "derived_over_paper_re" in payload["results"][0]
 
-    def test_paper_mode(self, capsys):
-        code, out = run_cli_out(capsys, "transform", "--family", "gegenbauer",
-                                "--nu", "1", "--n", "2", "--k", "1",
-                                "--rho", "1.3", "--constant-source", "paper")
+    def test_constant_source_is_derived_and_not_an_option(self, capsys):
+        argv = ("transform", "--family", "gegenbauer", "--nu", "1", "--n", "2",
+                "--k", "1", "--rho", "1.3")
+        code, out = run_cli_out(capsys, *argv)
         assert code == 0
         payload = json.loads(out)
-        assert payload["results"][0]["constant_source"] == "paper"
-        assert "derived_over_paper_re" not in payload["results"][0]
+        assert payload["config"]["constant_source"] == "derived"
+        assert payload["results"][0]["constant_source"] == "derived"
+        assert "derived_over_paper_re" in payload["results"][0]
+        code, out = run_cli_out(capsys, *argv, "--constant-source", "paper")
+        assert code == 2
+        assert out == ""
 
     def test_missing_index_usage_error(self):
         assert run_cli("transform", "--family", "disk", "--nu", "1",
@@ -233,9 +237,13 @@ class TestExitCodes:
     def test_usage_error_from_argparse(self):
         assert run_cli("eigs", "--nu", "0") == 2
 
-    def test_numerical_failure(self):
-        assert run_cli("eigs", "--nu", "0", "--c", "1e9", "--N", "0",
-                       "--modes", "1") == 3
+    @pytest.mark.parametrize("c", ["1e5", "1e9"])
+    def test_truncation_cap_is_numerical_failure(self, capsys, c):
+        # TruncationError is a ConvergenceError, which exits 3
+        assert run_cli("eigs", "--nu", "0", "--c", c, "--N", "0", "--modes", "1") == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "exceeds the cap" in err
 
     @pytest.mark.parametrize("mu", [0.75, -0.75, math.nan])
     def test_lambda_above_one_is_numerical_failure(self, capsys, monkeypatch, mu):

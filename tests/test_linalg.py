@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
-from diskslepian.linalg import (AsymmetryError, Eigenpairs, SymTridiagonal,
-                                dense_sym_eigen, symtri_eigen)
+from diskslepian.linalg import Eigenpairs, SymTridiagonal, symtri_eigen
 
 import oracles
 
@@ -99,41 +97,6 @@ def test_symtri_count_validation():
         symtri_eigen(T, 0)
 
 
-def test_dense_identity_and_rank_one():
-    pairs = dense_sym_eigen(np.eye(4), 4)
-    assert [p.value for p in pairs] == pytest.approx([1.0] * 4, abs=1e-14)
-    v = np.array([0.5, -0.5, 0.5, 0.5])
-    pairs = dense_sym_eigen(np.outer(v, v), 4)
-    assert pairs[0].value == pytest.approx(1.0, abs=1e-13)
-    assert [abs(p.value) for p in pairs[1:]] == pytest.approx([0.0] * 3, abs=1e-13)
-    # dominant eigenvector reproduces v up to the deterministic sign rule
-    assert np.max(np.abs(np.abs(pairs[0].vector) - np.abs(v))) <= 1e-12
-    assert pairs[0].vector[np.argmax(np.abs(pairs[0].vector))] > 0
-
-
-def test_dense_vs_tridiagonalized_path():
-    rng = np.random.default_rng(5)
-    A = rng.normal(size=(8, 8))
-    A = 0.5 * (A + A.T)
-    dense = sorted(p.value for p in dense_sym_eigen(A, 8))
-    H, q = scipy.linalg.hessenberg(A, calc_q=True)
-    T = SymTridiagonal(np.diag(H), np.diag(H, 1))
-    tri = symtri_eigen(T, 8).values
-    assert np.max(np.abs(np.array(dense) - np.array(tri))) <= 1e-10
-
-
-def test_dense_ordering_by_magnitude():
-    A = np.diag([0.1, -3.0, 2.0, -0.5])
-    pairs = dense_sym_eigen(A, 4)
-    assert [p.value for p in pairs] == pytest.approx([-3.0, 2.0, -0.5, 0.1])
-
-
-def test_dense_asymmetry_error():
-    A = np.array([[1.0, 2.0], [2.1, 1.0]])
-    with pytest.raises(AsymmetryError):
-        dense_sym_eigen(A, 1)
-
-
 def _flip_then_divide(A, count):
     # the two-step recipe of earlier releases: negate rows whose largest
     # component is negative, then divide each by sqrt(v . v)
@@ -170,17 +133,6 @@ def test_rows_are_sign_fixed_lapack_columns(K, count):
     assert eig.vectors.flags.c_contiguous and not eig.vectors.flags.writeable
     assert eig.peak.shape == (count,) and not eig.peak.flags.writeable
     _assert_signed_lapack_rows(eig.vectors, eig.peak, vecs[:, :count])
-    A = rng.normal(size=(K, K))
-    A = 0.5 * (A + A.T)
-    vals, vecs = np.linalg.eigh(A)
-    order = np.argsort(-np.abs(vals), kind="stable")[:count]
-    pairs = dense_sym_eigen(A, count)
-    mags = [abs(p.value) for p in pairs]
-    assert mags == sorted(mags, reverse=True)
-    assert [p.value for p in pairs] == vals[order].tolist()
-    assert all(p.vector.flags.c_contiguous and not p.vector.flags.writeable for p in pairs)
-    rows = np.array([p.vector for p in pairs])
-    _assert_signed_lapack_rows(rows, np.argmax(np.abs(rows), axis=1), vecs[:, order])
 
 
 @pytest.mark.parametrize("K,count", [(2, 1), (9, 9), (60, 12), (80, 40)])
@@ -193,24 +145,6 @@ def test_top_is_the_positive_peak_entry_bitwise(K, count):
     at_peak = eig.vectors[np.arange(count), eig.peak]
     assert np.all(eig.top > 0)
     assert eig.top.tobytes() == np.abs(at_peak).tobytes() == at_peak.tobytes()
-
-
-@pytest.mark.parametrize("K,count", [(2, 2), (9, 4), (60, 12), (80, 80)])
-def test_dense_pairs_are_the_sign_fixed_lapack_columns_bitwise(K, count):
-    # the recipe of the sign pass written out: LAPACK's values ordered by
-    # descending magnitude, each column negated where its largest |entry|
-    # is negative
-    rng = np.random.default_rng(300 + K)
-    A = rng.normal(size=(K, K))
-    A = 0.5 * (A + A.T)
-    vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
-    order = np.argsort(-np.abs(vals), kind="stable")[:count]
-    pairs = dense_sym_eigen(A, count)
-    assert [p.value for p in pairs] == vals[order].tolist()
-    for p, col in zip(pairs, vecs[:, order].T):
-        ref = col if col[np.argmax(np.abs(col))] > 0 else -col
-        assert p.vector.tobytes() == ref.tobytes()
-        assert not p.vector.flags.writeable
 
 
 def test_sign_rule_acts_on_a_spectral_matrix():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from diskslepian import operators as ops
 from diskslepian import transforms as tr
@@ -200,6 +201,8 @@ class TestNystrom:
     def test_rule_size_precondition(self):
         with pytest.raises(ValueError):
             ops.nystrom_hankel_eigs(0.0, 1.0, 0, 30, 10)
+        with pytest.raises(ValueError):
+            ops.nystrom_hankel_eigs(0.0, 1.0, 0, 30, 0)
 
     def test_refuses_bandwidth_past_kernel_domain(self):
         # past c = 40 the double-double kernel loses digits (1.6e-12 at 50,
@@ -208,6 +211,29 @@ class TestNystrom:
         for c in (40.5, -1.0, float("nan")):
             with pytest.raises(ValueError, match="c <= 40"):
                 ops.nystrom_hankel_eigs(0.0, c, 0, 20, 5)
+
+    @pytest.mark.parametrize("nu,c,N", [(0.0, 10.0, 0), (-0.5, 10.0, 2), (1.3, 40.0, 4)])
+    def test_pairs_by_magnitude_with_positive_peak(self, nu, c, N):
+        # the eigenvalues alternate in sign, so the order by descending
+        # |lambda| is no order by value; each vector is signed so that the
+        # largest |entry| of sqrt(w) phi is positive.  Reference: that recipe
+        # on the double-precision matrix, with scipy's J
+        count, size = 6, 120
+        pairs = ops.nystrom_hankel_eigs(nu, c, N, size, count)
+        values = np.array([p.value for p in pairs])
+        assert np.all(np.diff(np.abs(values)) < 0)
+        assert np.all(values[:-1] * values[1:] < 0)
+        rule = radial_rule(size, nu)
+        sw = np.sqrt(rule.weights)
+        z = c * np.outer(rule.nodes, rule.nodes)
+        vals, vecs = np.linalg.eigh(np.outer(sw, sw) * np.sqrt(z) * scipy.special.jv(N, z))
+        order = np.argsort(-np.abs(vals))[:count]
+        assert values == pytest.approx(vals[order], rel=0, abs=1e-13)
+        for p, col in zip(pairs, vecs[:, order].T):
+            v = sw * p.vector
+            assert v[np.abs(v).argmax()] > 0
+            ref = col if col[np.abs(col).argmax()] > 0 else -col
+            assert np.max(np.abs(v - ref)) <= 1e-10
 
     def test_eigenvector_quadrature_normalized(self):
         pairs = ops.nystrom_hankel_eigs(1.0, 1.0, 0, 120, 3)

@@ -6,6 +6,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 
 from diskslepian import operators as ops
 from diskslepian import slepian as sl
@@ -641,6 +642,31 @@ class TestLargeBandwidth:
         modes = sl.solve_modes(SlepianParams(0.0, 0.5, 0), 13)
         assert abs(ref[-1]) < 1e-46
         assert all(abs(m.mu - r) <= 1e-12 * abs(r) for m, r in zip(modes, ref))
+
+
+class TestTrace:
+    """The radial operator is trace class with a smooth kernel (Brislawn,
+    Proc. AMS 104, 1988), so its eigenvalues sqrt(c) mu_{N,n} sum to the
+    integral of the kernel's diagonal:
+
+        sum_n sqrt(c) mu_{N,n} = (sqrt(c)/2) integral_0^1 J_N(c s) (1-s)^nu ds.
+
+    The whole spectrum is checked at once, against a quadrature that shares
+    nothing with the solver.  N stays at 10 or below, where mu is right."""
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 1.3, 2.9])
+    @pytest.mark.parametrize("c", [1.0, 20.0, 80.0])
+    def test_mu_sum_is_the_kernel_trace(self, nu, c):
+        # Gauss-Jacobi in u = 2s - 1: (1-s)^nu ds = 2^(-nu-1) (1-u)^nu du.
+        # 64 nodes resolve J_N(c s) at c = 80.  scipy's 200-node rule is
+        # worse: at nu = -0.5 its own error is 3e-12 of sum_n |sqrt(c) mu|
+        u, w = scipy.special.roots_jacobi(64, nu, 0.0)
+        for N in (0, 3, 10):
+            modes = sl.solve_modes(SlepianParams(nu, c, N), int(c / 2) + 40)
+            terms = np.array([math.sqrt(c) * m.mu for m in modes])
+            integral = 2.0 ** (-nu - 1) * np.dot(w, scipy.special.jv(N, c * (1 + u) / 2))
+            trace = math.sqrt(c) / 2 * integral
+            assert abs(terms.sum() - trace) <= 1e-11 * np.abs(terms).sum()
 
 
 class TestParamsValidation:

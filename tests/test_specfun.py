@@ -195,6 +195,24 @@ print(json.dumps(out))
 """
 
 
+def test_series_does_not_depend_on_the_coefficient_cache(monkeypatch):
+    # the cached coefficients of an order are extended call by call and
+    # shared across tolerances; each value must equal the one built from an
+    # empty cache, bit for bit, whatever calls came before it
+    args = [(1.3, 11.5, 1e-21), (1.3, 0.5, 1e-21), (1.3, 12.0, 1e-35), (0.0, 3.0, 1e-21),
+            (1.3, np.array([0.5, 6.0, 12.0]), 1e-35), (0.0, 12.0, 1e-21), (1.3, 2.0, 1e-21)]
+
+    def series(order, z, tol):
+        out = dd.jsmall_series(order, z, np.zeros_like(z), tol)
+        return np.asarray(out[0]).tobytes() + np.asarray(out[1]).tobytes()
+
+    monkeypatch.setattr(dd, "_SERIES_COEFFS", {})
+    warm = [series(*a) for a in args]
+    for a, got in zip(args, warm):
+        monkeypatch.setattr(dd, "_SERIES_COEFFS", {})
+        assert series(*a) == got
+
+
 def test_miller_cost_is_bounded():
     # the Miller recurrence runs from above max(order, x): these would run
     # for minutes or forever, so they are refused by name; a subprocess

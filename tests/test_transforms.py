@@ -111,14 +111,11 @@ class TestDiskTransform:
                     scale = max(scale, abs(cf))
             assert max(errs) <= 1e-7 * scale
 
-    def test_paper_constant_mode_and_ratio_log(self):
+    def test_ratio_log_recovers_the_printed_form(self):
         nu, n, m = 2.5, 1, 0
-        derived = tr.disk_transform_closed(nu, n, m, 1.3, 0.7)
-        paper = tr.disk_transform_closed(nu, n, m, 1.3, 0.7, constant_source="paper")
-        assert paper.discrepancy_log is None
-        assert derived.discrepancy_log is not None
-        # ratio of the two results equals the logged constant ratio
-        assert derived.value / paper.value == pytest.approx(derived.discrepancy_log, rel=1e-12)
+        res = tr.disk_transform_closed(nu, n, m, 1.3, 0.7)
+        printed = tr._paper_disk_constant(nu, n, m) * tr._disk_shape(nu, n, m, 1.3, 0.7)
+        assert res.value / res.discrepancy_log == pytest.approx(printed, rel=1e-12)
         # n=m=0: derived/paper = Gamma(nu+1)^2
         r00 = tr.disk_transform_closed(nu, 0, 0, 1.3, 0.7).discrepancy_log
         assert r00 == pytest.approx(gamma_fn(nu + 1) ** 2, rel=1e-9)
@@ -126,8 +123,11 @@ class TestDiskTransform:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             tr.disk_transform_closed(1.0, 1, 1, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            tr.disk_transform_closed(1.0, 1, 1, 1.0, 0.0, constant_source="guess")
+        # the printed constants are no longer a mode of the closed forms
+        with pytest.raises(TypeError):
+            tr.disk_transform_closed(1.0, 1, 1, 1.0, 0.0, constant_source="paper")
+        with pytest.raises(TypeError):
+            tr.gegenbauer2d_transform_closed(1.0, 1, 1, 1.0, 0.0, constant_source="paper")
 
 
 class TestGegenbauer2DTransform:
@@ -179,6 +179,8 @@ class TestGegenbauer2DTransform:
         res = tr.gegenbauer2d_transform_closed(nu, 1, 0, 1.3, 0.8)
         expect = 1j * math.pi * (2 * nu + 1) / (2 * (nu + 1))
         assert 1 / res.discrepancy_log == pytest.approx(expect, rel=1e-12)
+        printed = tr._paper_gegen2d_constant(nu, 1, 0)
+        assert printed / tr._gegen2d_constant(nu, 1, 0) == pytest.approx(expect, rel=1e-12)
 
 
 class TestWatsonIntegrals:
