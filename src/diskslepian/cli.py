@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import ConvergenceError
-from .slepian import SlepianParams, eval_phi, eval_psi, solve_modes
+from .slepian import TAIL_TOLERANCE, SlepianParams, eval_phi, eval_psi, solve_modes
 from .transforms import disk_transform_closed, gegenbauer2d_transform_closed
 
 SCHEMA_VERSION = 1
@@ -65,8 +65,7 @@ def _csv(header, rows):
 
 def _params_from(args):
     try:
-        return SlepianParams(nu=args.nu, c=args.c, N=args.N,
-                             truncation=args.truncation, tolerance=args.tol)
+        return SlepianParams(nu=args.nu, c=args.c, N=args.N)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -77,7 +76,7 @@ def cmd_eigs(args):
         raise UsageError("--modes must be >= 1")
     modes = solve_modes(params, args.modes)
     config = {"command": "eigs", "nu": params.nu, "c": params.c, "N": params.N,
-              "modes": args.modes, "tolerance": params.tolerance,
+              "modes": args.modes, "tolerance": TAIL_TOLERANCE,
               "truncation": modes[0].truncation, "format": args.format}
     rows = [(params.N, m.n, m.chi, m.mu, m.lam.real, m.lam.imag, m.truncation)
             for m in modes]
@@ -232,12 +231,6 @@ def _build_parser():
         p.add_argument("--nu", type=float, required=True)
         p.add_argument("--c", type=float, required=True)
         p.add_argument("--N", type=int, required=True)
-        p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--truncation", type=int, default=None,
-                       help="pin the expansion size K, raised to the number of "
-                       "modes solved + 2; a K whose coefficient tail fails --tol "
-                       "exits 3.  Default: the smallest K a tail bound "
-                       "certifies, doubled until the tail passes")
         p.add_argument("--out", default=None)
         if modes:
             p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -60,8 +60,8 @@ import numpy as np
 from .linalg import ConvergenceError, SymTridiagonal, symtri_eigen
 from .orthopoly import jacobi_recurrence
 
-__all__ = ["SlepianParams", "RadialMode", "chi0", "build_spectral_matrix",
-           "solve_modes", "eval_phi", "eval_R", "eval_psi", "TruncationError"]
+__all__ = ["SlepianParams", "RadialMode", "chi0", "build_spectral_matrix", "solve_modes",
+           "eval_phi", "eval_R", "eval_psi", "TruncationError", "TAIL_TOLERANCE"]
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -69,6 +69,10 @@ _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 # ceiling of the truncation start, num_modes + ceil(c/4) + 30, must stay
 # under it, which admits c up to about 16000
 _MAX_TRUNCATION = 4096
+
+# the truncation K leaves every requested mode's last expansion coefficient
+# below this fraction of its largest
+TAIL_TOLERANCE = 1e-12
 
 # the mu closed form weights A_k by h_k^(-1/2), which grows like
 # binom(k+N, N).  Past a growth of 1e7 over the rows kept (N >~ 5), mu
@@ -92,35 +96,25 @@ def _as_int(value, name):
 
 @dataclass(frozen=True)
 class SlepianParams:
-    """Problem triple (nu, c, N) plus solver controls.
+    """Problem triple (nu, c, N).
 
     nu > -1 is the disk weight exponent, c >= 0 the bandwidth, N >= 0 the
-    angular order.  ``truncation`` pins the expansion size (None = grow
-    automatically); ``tolerance`` > 0 is the relative coefficient-tail
-    target.  nu, c and tolerance must be finite.
+    angular order; nu and c must be finite.  The truncation K is not a
+    parameter: ``solve_modes`` chooses it.
     """
 
     nu: float
     c: float
     N: int
-    truncation: int | None = None
-    tolerance: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "N", _as_int(self.N, "N"))
-        if self.truncation is not None:
-            object.__setattr__(self, "truncation",
-                               _as_int(self.truncation, "truncation"))
         if not (math.isfinite(self.nu) and self.nu > -1):
             raise ValueError("nu must be finite and exceed -1")
         if not (math.isfinite(self.c) and self.c >= 0):
             raise ValueError("c must be finite and >= 0")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be finite and > 0")
         if self.N < 0:
             raise ValueError("N must be >= 0")
-        if self.truncation is not None and self.truncation < 2:
-            raise ValueError("truncation must be >= 2")
 
 
 class RadialMode(NamedTuple):
@@ -241,10 +235,10 @@ def build_spectral_matrix(params, K):
             f"spectral matrix entries overflow at nu={nu}, c={c}, N={N}") from exc
 
 
-def _tails_ok(eig, tolerance):
-    """No row of eig.vectors has a last entry above tolerance times its
+def _tails_ok(eig):
+    """No row of eig.vectors has a last entry above TAIL_TOLERANCE times its
     largest, eig.top."""
-    return not np.any(np.abs(eig.vectors[:, -1]) > tolerance * eig.top)
+    return not np.any(np.abs(eig.vectors[:, -1]) > TAIL_TOLERANCE * eig.top)
 
 
 def _leading_coeffs(T, eig):
@@ -303,7 +297,7 @@ def _mu_values(params, T, eig):
 def _certified_truncation(params, num_modes, ceiling):
     """Smallest K in [num_modes + 2, ceiling] at which a tail bound certifies
     that the first num_modes eigenvectors have decayed below
-    params.tolerance, or ceiling where none is certified.
+    TAIL_TOLERANCE, or ceiling where none is certified.
 
     Lambda = diag(chi0) + c^2 x2 with x2 = (I - J)/2.  Every truncation of
     x2 is a compression of multiplication by x^2 on (0, 1), so its spectrum
@@ -344,7 +338,7 @@ def _certified_truncation(params, num_modes, ceiling):
     for k, (chi0_k, gap_k, step_k) in enumerate(
             zip(t.chi0[k0:].tolist(), t.gap[k0:].tolist(), t.step[k0:].tolist()), k0):
         prod *= c2 * step_k / (chi0_k + c2 * gap_k - chi_ub)
-        if prod < params.tolerance:
+        if prod < TAIL_TOLERANCE:
             K = max(k + 1, num_modes + 2)
             # inf weights (h_k underflowed) count as steep
             if c2 == 0 or t.inv_sqrt_h[K - 1] <= _MAX_WEIGHT_GROWTH * t.inv_sqrt_h[0]:
@@ -363,12 +357,13 @@ def solve_modes(params, num_modes):
     from mode 0 to mode 12, and the top 12 |mu| exceed the first 12 by chi
     by up to 25%).
 
-    The truncation K starts at the smallest K >= num_modes + 2 that a
-    bracket-and-recurrence tail bound certifies (``_certified_truncation``),
-    at most the ceiling num_modes + ceil(c/4) + 30, and doubles until every
-    requested mode's last expansion coefficient is below
-    tolerance * max|coefficient|.  The dense eigensolve costs O(K^3), so the
-    start is no larger than the bound needs.  At c = 0 it is num_modes + 2.
+    The solver alone chooses the truncation K.  It starts at the smallest
+    K >= num_modes + 2 that a bracket-and-recurrence tail bound certifies
+    (``_certified_truncation``), at most the ceiling num_modes + ceil(c/4)
+    + 30, and doubles until every requested mode's last expansion
+    coefficient is below TAIL_TOLERANCE * max|coefficient|.  The dense
+    eigensolve costs O(K^3), so the start is no larger than the bound needs.
+    At c = 0 it is num_modes + 2.
     Measured over the 480 distinct ops of the spectrum_sweep benchmark,
     seeds 201-210 (c in [0.5, 79], nu in [0, 3], N <= 4, 10 to 30 modes),
     K is num_modes + 4 to num_modes + 41, 9 to 27 rows (median 25) below
@@ -380,33 +375,24 @@ def solve_modes(params, num_modes):
     K is the ceiling too where the weights h_k^(-1/2) of the mu closed form
     grow by more than 1e7 over the certified rows (N >~ 5 at c > 0), since
     mu moves with K by roundoff there.
-    A pinned params.truncation (lifted to num_modes + 2) is not grown: if
-    it fails that tail check, ConvergenceError is raised.
+    A K above the cap of _MAX_TRUNCATION rows raises TruncationError.
     """
     num_modes = _as_int(num_modes, "num_modes")
     if num_modes < 1:
         raise ValueError("num_modes must be >= 1")
     nu, c, N = params.nu, params.c, params.N
-    K = params.truncation or num_modes + math.ceil(c / 4) + 30
-    K = max(K, num_modes + 2)
-    if K > _MAX_TRUNCATION:
-        raise TruncationError(
-            f"required truncation {K} exceeds the cap {_MAX_TRUNCATION}")
-    if params.truncation is None:
+    K = num_modes + math.ceil(c / 4) + 30
+    if K <= _MAX_TRUNCATION:
         K = _certified_truncation(params, num_modes, K)
-    while True:
+    while K <= _MAX_TRUNCATION:
         T = build_spectral_matrix(params, K)
         eig = symtri_eigen(T, num_modes)
-        if _tails_ok(eig, params.tolerance):
+        if _tails_ok(eig):
             break
-        if params.truncation is not None:
-            raise ConvergenceError(
-                f"pinned truncation {K} leaves a coefficient tail above "
-                f"tolerance {params.tolerance:g} at nu={nu}, c={c}, N={N}")
-        if 2 * K > _MAX_TRUNCATION:
-            raise TruncationError(
-                f"needed truncation beyond {_MAX_TRUNCATION} for c={c}")
         K *= 2
+    else:
+        raise TruncationError(f"the truncation for {num_modes} modes at c={c:g} "
+                              f"exceeds the cap of {_MAX_TRUNCATION} rows")
 
     mus = _mu_values(params, T, eig)
     lam_max = np.abs(mus).max() * (2 * (nu + 1))  # |lambda| = 2 (nu+1) |mu|

@@ -14,7 +14,8 @@ precision on every platform; the public functions validate and rescale:
   in double-double (``_ddarith.jsmall_series``), over a scalar or an
   ndarray; near the cutoff its terms reach ~1e4 while the sum is O(1), so
   plain double would lose ~3 digits.  The power and Gamma prefactor is
-  assembled in log space (``_bessel``, ``j_script_over_power_array``);
+  formed from the two where they are normal floats (``_prefactor``), else,
+  as in ``j_script_over_power_array``, in log space;
 * larger x: one backward (Miller) recurrence in plain floats, normalized
   through the Neumann-type sum (x/2)**mu = sum_k (mu+2k) Gamma(mu+k)/k!
   J_{mu+2k}(x) for the fractional base order mu in [0, 1); orders in
@@ -46,6 +47,8 @@ _SERIES_TERM_BOUND = 1e-21
 
 # Row cap of the Miller recurrence, about 0.05 s of Python steps.
 _MILLER_MAX_ROWS = 10**5
+
+_TINY = 2.0 ** -1022  # the smallest normal double
 
 # Gamma for real x; ValueError at the poles x = 0, -1, -2, ..., OverflowError
 # once the result exceeds the double range (x > ~171.6).
@@ -108,17 +111,33 @@ def _bessel_miller(order, x):
     return target * math.exp(mu * math.log(x / 2)) / ssum
 
 
+def _prefactor(nu, x, small):
+    """Gamma(nu+1) (2/x)^nu, from J_nu(x) to j_small(nu, x), where ``small``,
+    else its inverse: from the power and Gamma where both and the result
+    are normal floats, else in log space, which loses |nu log(x/2)| ulps
+    (9.3e-14 of J_40(1e-6))."""
+    sign = 1 if small else -1
+    try:
+        power, gamma = (x / 2) ** (-sign * nu), math.gamma(nu + 1)
+        out = power * gamma if small else power / gamma
+        if _TINY <= min(power, out) and out < math.inf:
+            return out
+    except OverflowError:
+        pass
+    return math.exp(sign * (math.lgamma(nu + 1) - nu * math.log(x / 2)))
+
+
 def _bessel(nu, x, small):
     """J_nu(x), or j_small(nu, x) where ``small``, for nu > -1 and x > 0.
 
     The series gives j_small, the Miller recurrence J_nu (stepping down from
-    nu+1 and nu+2 for nu < 0); the other takes the prefactor in log space.
+    nu+1 and nu+2 for nu < 0); the other takes the ``_prefactor``.
     The Miller cost grows with max(nu, x): a start above _MILLER_MAX_ROWS
     is a ValueError.
     """
     if x <= _SERIES_CUTOFF:
         j = _j_small_series(nu, x)
-        return j if small else math.exp(nu * math.log(x / 2) - math.lgamma(nu + 1)) * j
+        return j if small else _prefactor(nu, x, small) * j
     if _miller_start(nu, x) > _MILLER_MAX_ROWS:
         raise ValueError(f"the Miller recurrence of J at order {nu} and x = {x} "
                          f"would run more than {_MILLER_MAX_ROWS} rows")
@@ -126,7 +145,7 @@ def _bessel(nu, x, small):
         j = _bessel_miller(nu, x)
     else:
         j = (2 * (nu + 1) / x) * _bessel_miller(nu + 1, x) - _bessel_miller(nu + 2, x)
-    return math.exp(math.lgamma(nu + 1) + nu * math.log(2.0 / x)) * j if small else j
+    return _prefactor(nu, x, small) * j if small else j
 
 
 def bessel_j(order, x):

@@ -9,7 +9,8 @@ reference implementations that the library does not use: the radial basis
 function T_{N,n} (``t_basis``), its norms (``t_norm_sq``) and x^2
 recurrence (``x2_recurrence_coeffs``) one index at a time, the scalar
 recipe that the library's spectral matrix is checked against, the earlier
-Gershgorin tail bound of the truncation (``gershgorin_truncation``), and the
+Gershgorin tail bound of the truncation (``gershgorin_truncation``), the
+library's solve at a given truncation (``solve_at_truncation``), and the
 classical prolate operator (``apply_L_classical``), a separate code path
 for the weight-zero reduction of ``operators.apply_L``.
 """
@@ -277,12 +278,23 @@ def gershgorin_truncation(params, num_modes, ceiling):
     for k, (e_prev, d_k, e_k, w_prev, w_k) in enumerate(
             zip(e[k0:].tolist(), d[k0:].tolist(), e[k0 + 1:].tolist(), w, w[1:]), k0):
         prod *= e_prev * w_k / w_prev / (d_k - chi_ub - e_k)
-        if prod < params.tolerance:
+        if prod < sl.TAIL_TOLERANCE:
             K = max(k + 1, num_modes + 2)
             if c2 == 0 or t.inv_sqrt_h[K - 1] <= sl._MAX_WEIGHT_GROWTH * t.inv_sqrt_h[0]:
                 return K
             break
     return ceiling
+
+
+def solve_at_truncation(params, num_modes, K):
+    """The eigenpairs and mu of the first num_modes modes at the given
+    truncation K, by the steps of ``slepian.solve_modes`` but with K fixed:
+    the spectral matrix, its eigensolve and the mu closed form.  The
+    coefficient tail must pass the solver's check at K."""
+    T = sl.build_spectral_matrix(params, K)
+    eig = sl.symtri_eigen(T, num_modes)
+    assert sl._tails_ok(eig), f"coefficient tail above tolerance at K = {K}"
+    return eig, sl._mu_values(params, T, eig)
 
 
 @dataclass(frozen=True)

@@ -237,13 +237,27 @@ class TestExitCodes:
     def test_usage_error_from_argparse(self):
         assert run_cli("eigs", "--nu", "0") == 2
 
-    @pytest.mark.parametrize("c", ["1e5", "1e9"])
+    @pytest.mark.parametrize("c", ["1e5", "1e9", "1e200"])
     def test_truncation_cap_is_numerical_failure(self, capsys, c):
-        # TruncationError is a ConvergenceError, which exits 3
+        # TruncationError is a ConvergenceError, which exits 3 with one short
+        # line that names c and the row cap, not the truncation it would need
         assert run_cli("eigs", "--nu", "0", "--c", c, "--N", "0", "--modes", "1") == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert "exceeds the cap" in err
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
+        assert "exceeds the cap of 4096 rows" in err
+        assert f"c={float(c):g}" in err
+
+    @pytest.mark.parametrize("command", ["eigs", "eval", "tabulate"])
+    @pytest.mark.parametrize("option", [("--truncation", "40"), ("--tol", "1e-12")])
+    def test_truncation_is_not_an_option(self, capsys, command, option):
+        # the solver alone chooses K, at the fixed tail tolerance
+        extra = {"eigs": ("--modes", "2"), "eval": ("--at", "0.5"),
+                 "tabulate": ("--grid-r", "3")}[command]
+        code, out = run_cli_out(capsys, command, "--nu", "0", "--c", "1", "--N", "0",
+                                *extra, *option)
+        assert code == 2
+        assert out == ""
 
     @pytest.mark.parametrize("mu", [0.75, -0.75, math.nan])
     def test_lambda_above_one_is_numerical_failure(self, capsys, monkeypatch, mu):
@@ -262,9 +276,6 @@ class TestExitCodes:
         ("eigs", "--nu", "inf", "--c", "1", "--N", "0", "--modes", "2"),
         ("eigs", "--nu", "0", "--c", "inf", "--N", "0", "--modes", "2"),
         ("tabulate", "--nu", "0", "--c", "nan", "--N", "0", "--grid-r", "3"),
-        ("eigs", "--nu", "0", "--c", "1", "--N", "0", "--modes", "2", "--tol", "nan"),
-        ("eigs", "--nu", "0", "--c", "1", "--N", "0", "--modes", "2", "--tol", "inf"),
-        ("eigs", "--nu", "0", "--c", "1", "--N", "0", "--modes", "2", "--tol", "0"),
         ("eval", "--nu", "0", "--c", "1", "--N", "0", "--at", "0.5:nan"),
         ("eval", "--nu", "0", "--c", "1", "--N", "0", "--at", "0.5:inf"),
         ("eval", "--nu", "0", "--c", "1", "--N", "0", "--mode", "-1", "--at", "0.5"),
@@ -289,19 +300,6 @@ class TestExitCodes:
         code, out = run_cli_out(capsys, *argv)
         assert code == 3
         assert out == ""
-
-    def test_unconverged_pinned_truncation_is_numerical_failure(self, capsys):
-        # K = 4 leaves the coefficient tail at c = 30 far above tolerance,
-        # and its modes (mu = 0.0627, -0.179) pass the |lambda| <= 1 guard;
-        # the converged ones sit on the nu = 0 plateau c |mu| = 1
-        argv = ("eigs", "--nu", "0", "--c", "30", "--N", "0", "--modes", "2")
-        code, out = run_cli_out(capsys, *argv, "--truncation", "4")
-        assert code == 3
-        assert out == ""
-        code, out = run_cli_out(capsys, *argv, "--truncation", "40")
-        assert code == 0
-        mus = [row["mu"] for row in json.loads(out)["results"]]
-        assert mus == pytest.approx([1 / 30, -1 / 30], rel=1e-12)
 
     def test_invalid_domain_is_usage(self):
         assert run_cli("eigs", "--nu", "-2", "--c", "1", "--N", "0",

@@ -120,7 +120,7 @@ class TestSolveModes:
         for m in modes:
             assert np.linalg.norm(m.coeffs) == pytest.approx(1.0, abs=1e-12)
             tail = np.abs(m.coeffs[-1])
-            assert tail <= p.tolerance * np.max(np.abs(m.coeffs))
+            assert tail <= sl.TAIL_TOLERANCE * np.max(np.abs(m.coeffs))
 
     def test_cross_method_single_case(self):
         p = SlepianParams(nu=0.0, c=1.0, N=0)
@@ -181,7 +181,7 @@ class TestSolveModes:
     def test_default_start_is_converged_and_not_doubled(self, nu, c, monkeypatch):
         # K starts where the tail bound certifies it, never above the old
         # start num_modes + ceil(c/4) + 30; one matrix build per solve at that
-        # K, and a solve pinned at 2K agrees to 1e-12 (mu), 1e-13 (chi)
+        # K, and a solve at 2K agrees to 1e-12 (mu), 1e-13 (chi)
         builds = []
         real_build = sl.build_spectral_matrix
         monkeypatch.setattr(sl, "build_spectral_matrix",
@@ -193,16 +193,15 @@ class TestSolveModes:
                 modes = sl.solve_modes(p, num_modes)
                 K = modes[0].truncation
                 assert builds == [K] and K <= num_modes + math.ceil(c / 4) + 30
-                wide = sl.solve_modes(SlepianParams(nu=nu, c=c, N=N, truncation=2 * K),
-                                      num_modes)
-                for a, b in zip(modes, wide):
-                    assert abs(a.mu - b.mu) <= 1e-12 * abs(b.mu)
-                    assert abs(a.chi - b.chi) <= 1e-13 * abs(b.chi)
+                eig, mus = oracles.solve_at_truncation(p, num_modes, 2 * K)
+                for a, chi, mu in zip(modes, eig.values, mus):
+                    assert abs(a.mu - mu) <= 1e-12 * abs(mu)
+                    assert abs(a.chi - chi) <= 1e-13 * abs(chi)
 
     @pytest.mark.parametrize("nu", [0.0, 1.5, 2.9])
     @pytest.mark.parametrize("c", [0.5, 5.0, 40.0, 80.0])
     def test_certified_start_is_close_to_the_smallest_passing_truncation(self, nu, c):
-        # brute force: the smallest pinned K whose eigenvectors pass the tail
+        # brute force: the smallest K whose eigenvectors pass the tail
         # check.  The solve starts at the bound's K, never below it and never
         # doubling.  Where the bound certifies a K below the old start it is
         # at most 10 rows above the smallest.  Only at c = 80 with 10 modes
@@ -217,7 +216,7 @@ class TestSolveModes:
                 smallest = next(
                     k for k in range(num_modes + 2, ceiling + 1)
                     if sl._tails_ok(sl.symtri_eigen(sl.build_spectral_matrix(p, k),
-                                                    num_modes), p.tolerance))
+                                                    num_modes)))
                 assert smallest <= K
                 if K < ceiling:
                     assert K <= smallest + 10
@@ -238,7 +237,7 @@ class TestSolveModes:
             assert num_modes + 2 <= K <= oracles.gershgorin_truncation(p, num_modes, ceiling) + 1
             if K < ceiling:
                 eig = sl.symtri_eigen(sl.build_spectral_matrix(p, K), num_modes)
-                assert sl._tails_ok(eig, p.tolerance)
+                assert sl._tails_ok(eig)
 
     def test_zero_bandwidth_start_is_the_floor(self):
         # the off-diagonal vanishes: every factor of the tail bound is 0
@@ -253,9 +252,9 @@ class TestSolveModes:
         p = SlepianParams(nu=0.0, c=1000.0, N=3)
         assert sl._certified_truncation(p, 10, 10 + 250 + 30) == 290
         modes = sl.solve_modes(p, 10)
-        pinned = sl.solve_modes(SlepianParams(nu=0.0, c=1000.0, N=3, truncation=290), 10)
+        _, mus = oracles.solve_at_truncation(p, 10, 290)
         assert modes[0].truncation == 290
-        assert [m.mu for m in modes] == [m.mu for m in pinned]
+        assert [m.mu for m in modes] == mus.tolist()
 
     def test_steep_weights_keep_the_old_start(self):
         # at N = 20 and 60 the weights h_k^(-1/2) grow past 1e7 over the rows
@@ -266,9 +265,9 @@ class TestSolveModes:
             ceiling = num_modes + math.ceil(c / 4) + 30
             assert sl._certified_truncation(p, num_modes, ceiling) == ceiling
             modes = sl.solve_modes(p, num_modes)
-            pinned = sl.solve_modes(SlepianParams(nu, c, N, truncation=ceiling), num_modes)
+            _, mus = oracles.solve_at_truncation(p, num_modes, ceiling)
             assert modes[0].truncation == ceiling
-            assert [m.mu for m in modes] == [m.mu for m in pinned]
+            assert [m.mu for m in modes] == mus.tolist()
 
     def test_high_order_mu_against_double_double_nystrom(self):
         # eigs --nu 0 --c 40 --N 60 --modes 4.  At the old start K = 44 mu_0
@@ -366,15 +365,16 @@ class TestBasisTerms:
 
     @pytest.mark.parametrize("c", [0.0, 6.0])
     def test_writing_a_returned_matrix_leaves_later_solves_unchanged(self, c):
-        p = SlepianParams(nu=1.0, c=c, N=2, truncation=40)
-        before = sl.solve_modes(p, 5)
+        p = SlepianParams(nu=1.0, c=c, N=2)
+        before = oracles.solve_at_truncation(p, 5, 40)
         T = sl.build_spectral_matrix(p, 40)
         T.diag[:] = 1.0
         T.offdiag[:] = 0.5
-        after = sl.solve_modes(p, 5)
-        for a, b in zip(before, after):
-            assert (a.chi, a.mu, a.lam) == (b.chi, b.mu, b.lam)
-            assert np.array_equal(a.coeffs, b.coeffs)
+        after = oracles.solve_at_truncation(p, 5, 40)
+        (eig_a, mu_a), (eig_b, mu_b) = before, after
+        assert np.array_equal(eig_a.values, eig_b.values)
+        assert np.array_equal(eig_a.vectors, eig_b.vectors)
+        assert np.array_equal(mu_a, mu_b)
 
     @pytest.mark.filterwarnings("error")
     def test_underflowed_norms_are_refused_without_warnings(self):
@@ -652,7 +652,9 @@ class TestTrace:
         sum_n sqrt(c) mu_{N,n} = (sqrt(c)/2) integral_0^1 J_N(c s) (1-s)^nu ds.
 
     The whole spectrum is checked at once, against a quadrature that shares
-    nothing with the solver.  N stays at 10 or below, where mu is right."""
+    nothing with the solver.  N stays at 10 or below, where mu is right.
+    The 2D form, sum_N (2 - delta_N0) sum_n |lambda_{N,n}|^2 = 1, needs no
+    quadrature at all."""
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 1.3, 2.9])
     @pytest.mark.parametrize("c", [1.0, 20.0, 80.0])
@@ -668,6 +670,25 @@ class TestTrace:
             trace = math.sqrt(c) / 2 * integral
             assert abs(terms.sum() - trace) <= 1e-11 * np.abs(terms).sum()
 
+    @pytest.mark.parametrize("nu, c", [
+        *itertools.product([-0.5, 0.0, 1.3, 2.9], [1.0, 5.0]),
+        *(pytest.param(nu, 15.0, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1: mu at N around c/2 and above is "
+            "too large, and the sum reads 1.2e-10 (nu = -0.5) and 1.3e-11 (nu = 0) "
+            "above 1")) for nu in (-0.5, 0.0))])
+    def test_lambda_squares_sum_to_one(self, nu, c):
+        # F_{nu,c} is normal (it commutes with its adjoint, the transform at
+        # -c) and its kernel has modulus 1 under a probability weight, so its
+        # Hilbert-Schmidt norm is 1: sum_N (2 - delta_N0) sum_n |lambda_{N,n}|^2
+        # = 1, N and -N sharing the radial modes.  The first term left out,
+        # at N = c + 16 or n = c/2 + 15, is below 1e-16
+        n_max, modes = int(c) + 15, int(c / 2) + 15
+        total = math.fsum(
+            (2 - (N == 0)) * abs(m.lam) ** 2
+            for N in range(n_max + 1)
+            for m in sl.solve_modes(SlepianParams(nu, c, N), modes))
+        assert abs(total - 1) <= 1e-13
+
 
 class TestParamsValidation:
     @pytest.mark.parametrize("N", [2.0, 1.5, "2", None])
@@ -675,21 +696,16 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="N must be an integer"):
             SlepianParams(nu=0.0, c=1.0, N=N)
 
-    @pytest.mark.parametrize("truncation", [40.5, 40.0])
-    def test_non_integer_truncation_is_refused_at_construction(self, truncation):
-        with pytest.raises(ValueError, match="truncation must be an integer"):
-            SlepianParams(nu=0.0, c=1.0, N=0, truncation=truncation)
-
     @pytest.mark.parametrize("num_modes", [2.5, 3.0, "3"])
     def test_non_integer_mode_count_is_refused_at_entry(self, num_modes):
         with pytest.raises(ValueError, match="num_modes must be an integer"):
             sl.solve_modes(SlepianParams(nu=0.0, c=1.0, N=0), num_modes)
 
     def test_numpy_integers_are_taken_as_python_ints(self):
-        p = SlepianParams(nu=1.0, c=3.0, N=np.int64(2), truncation=np.int32(40))
-        assert type(p.N) is int and type(p.truncation) is int
+        p = SlepianParams(nu=1.0, c=3.0, N=np.int64(2))
+        assert type(p.N) is int
         got = sl.solve_modes(p, np.int64(3))
-        want = sl.solve_modes(SlepianParams(nu=1.0, c=3.0, N=2, truncation=40), 3)
+        want = sl.solve_modes(SlepianParams(nu=1.0, c=3.0, N=2), 3)
         assert len(got) == 3 and type(got[0].truncation) is int
         assert [m.mu for m in got] == [m.mu for m in want]
         assert [m.lam for m in got] == [m.lam for m in want]
@@ -701,7 +717,5 @@ class TestParamsValidation:
             SlepianParams(nu=0.0, c=-0.1, N=0)
         with pytest.raises(ValueError):
             SlepianParams(nu=0.0, c=1.0, N=-1)
-        with pytest.raises(ValueError):
-            SlepianParams(nu=0.0, c=1.0, N=0, truncation=1)
         with pytest.raises(ValueError):
             sl.solve_modes(SlepianParams(nu=0.0, c=1.0, N=0), 0)

@@ -115,6 +115,23 @@ class TestBesselJ:
         assert abs(res) <= 1e-10
 
 
+@pytest.mark.parametrize("fn, order, x", [
+    ("bessel_j", 40.0, 1e-6), ("bessel_j", 40.0, 11.5), ("bessel_j", 10.0, 1e-6),
+    ("j_script", -0.5, 1e-300),
+    ("j_small", 40.0, 12.5), ("j_small", 40.0, 20.0), ("j_small", 30.0, 12.5)])
+def test_power_gamma_prefactor_keeps_relative_accuracy(fn, order, x):
+    # (x/2)^order / Gamma(order+1) as a quotient of normal floats, not as
+    # exp(order log(x/2) - lgamma(order+1)), whose relative error is
+    # |order log(x/2)| ulps (9.3e-14 for J_40(1e-6)).  The j_small points
+    # take the Miller branch, where x < order keeps J free of zeros
+    mp = oracles.mp
+    J = oracles.bessel_j_mp(order, x)
+    ref = {"bessel_j": J, "j_script": mp.sqrt(x) * J,
+           "j_small": mp.gamma(order + 1) * (2 / mp.mpf(x)) ** order * J}[fn]
+    got = getattr(sf, fn)(order, x)
+    assert abs(got - ref) <= 1e-15 * abs(ref)
+
+
 class TestNormalizedVariants:
     def test_j_small_at_zero(self):
         for nu in (-0.5, 0.0, 1.0, 7.3):
