@@ -11,9 +11,10 @@ verify    run a named verification suite; nonzero exit on any failed check
 transform closed-form transform values (disk / gegenbauer families)
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure.  Output is deterministic: identical invocations produce
-byte-identical output (fixed sign conventions, sorted JSON keys, 17
-significant digit round-trippable CSV).
+failure, output that would carry a NaN or an infinity included.  Output is
+deterministic: identical invocations produce byte-identical output (fixed
+sign conventions, sorted JSON keys, 17 significant digit round-trippable
+CSV).
 """
 
 import argparse
@@ -50,15 +51,23 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+_NON_FINITE = "the output would contain a non-finite number"
+
+
 def _json_payload(config, results):
-    return json.dumps({"schema_version": SCHEMA_VERSION,
-                       "config": config, "results": results},
-                      sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps({"schema_version": SCHEMA_VERSION,
+                           "config": config, "results": results},
+                          sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or infinity, which JSON does not admit
+        raise ConvergenceError(_NON_FINITE) from exc
 
 
 def _csv(header, rows):
     lines = [",".join(header)]
     for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise ConvergenceError(_NON_FINITE)
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
 

@@ -13,7 +13,10 @@ T_k / sqrt(h_k) are x^(N+1/2) times the orthonormal Jacobi polynomials of
 as for the Gauss rules) and x^2 = (1-u)/2.  J has its spectrum in (-1, 1),
 so every truncation has chi0(N, n, nu) <= chi_n <= chi0(N, n, nu) + c^2.
 Eigenvalues chi are the Sturm-Liouville spectrum; eigenvectors are the
-expansion coefficients A_k in the orthonormalized basis.
+expansion coefficients A_k in the orthonormalized basis.  The truncation K
+comes from a tail bound, once per solve: one matrix build and one
+eigensolve at K, and a solve whose coefficient tail still fails the check
+there is refused (ConvergenceError), not retried at a larger K.
 
 The eigenfunctions are summed on the x^2 matrix (I - J)/2 that the solver
 diagonalises: with s = x^2, T_k / sqrt(h_k) = x^(N+1/2) r_k(s), where r_0 =
@@ -66,8 +69,8 @@ __all__ = ["SlepianParams", "RadialMode", "chi0", "build_spectral_matrix", "solv
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 # the eigensolve is dense: at K = 4096 it takes about 15 s and 0.7 GB.  The
-# ceiling of the truncation start, num_modes + ceil(c/4) + 30, must stay
-# under it, which admits c up to about 16000
+# ceiling of the truncation, num_modes + ceil(c/4) + 30, must stay under it,
+# which admits c up to about 16000
 _MAX_TRUNCATION = 4096
 
 # the truncation K leaves every requested mode's last expansion coefficient
@@ -77,12 +80,13 @@ TAIL_TOLERANCE = 1e-12
 # the mu closed form weights A_k by h_k^(-1/2), which grows like
 # binom(k+N, N).  Past a growth of 1e7 over the rows kept (N >~ 5), mu
 # depends on eigenvector entries below roundoff and so moves with K, and
-# ``_certified_truncation`` keeps the old start
+# ``_certified_truncation`` returns the ceiling
 _MAX_WEIGHT_GROWTH = 1e7
 
 
 class TruncationError(ConvergenceError):
-    """Truncation growth exceeded the hard cap (c unreasonably large)."""
+    """The truncation ceiling num_modes + ceil(c/4) + 30 exceeds the cap of
+    _MAX_TRUNCATION rows (c above about 16000)."""
 
 
 def _as_int(value, name):
@@ -326,8 +330,8 @@ def _certified_truncation(params, num_modes, ceiling):
     eigenvector entry only down to about 1e-16 of the largest (smaller ones
     come back inexact or as 0), and the weights h_k^(-1/2) lift those
     entries into the sum.  So for c > 0 a K whose weights grow by more than
-    _MAX_WEIGHT_GROWTH over its rows is not used, and the ceiling, the old
-    start, is returned.
+    _MAX_WEIGHT_GROWTH over its rows is not used, and the ceiling is
+    returned.
     """
     c2 = params.c * params.c
     t = _basis_terms(params.N, params.nu, ceiling)
@@ -357,42 +361,45 @@ def solve_modes(params, num_modes):
     from mode 0 to mode 12, and the top 12 |mu| exceed the first 12 by chi
     by up to 25%).
 
-    The solver alone chooses the truncation K.  It starts at the smallest
+    The solver alone chooses the truncation K, once: the smallest
     K >= num_modes + 2 that a bracket-and-recurrence tail bound certifies
     (``_certified_truncation``), at most the ceiling num_modes + ceil(c/4)
-    + 30, and doubles until every requested mode's last expansion
-    coefficient is below TAIL_TOLERANCE * max|coefficient|.  The dense
-    eigensolve costs O(K^3), so the start is no larger than the bound needs.
-    At c = 0 it is num_modes + 2.
+    + 30.  It builds and eigensolves at that K alone, and refuses the solve
+    unless every requested mode's last expansion coefficient is below
+    TAIL_TOLERANCE * max|coefficient|.  The dense eigensolve costs O(K^3),
+    so K is no larger than the bound needs.  At c = 0 it is num_modes + 2.
     Measured over the 480 distinct ops of the spectrum_sweep benchmark,
     seeds 201-210 (c in [0.5, 79], nu in [0, 3], N <= 4, 10 to 30 modes),
     K is num_modes + 4 to num_modes + 41, 9 to 27 rows (median 25) below
     the ceiling, and 0 (median) to 10 rows above the smallest K that passes
-    the tail check; no solve doubles there.  Where chi_ub is far above the
-    true chi (c = 80 with 10 modes, and c = 200 or 1000), no K below the
-    ceiling is certified and K is the ceiling; at c = 1000 the last
+    the tail check; every one passes it, as does every solve of the test
+    suite and of nu in {-0.9, -0.5, 0, 1.3, 5}, c in {0, 0.1, 1, 5, 20, 80,
+    200, 1000}, N in {0, 1, 4, 10, 30, 60} and 1, 2, 5, 10, 30 or 60
+    modes.  Where chi_ub is far above the true chi (c = 80 with 10 modes,
+    and c = 200 or 1000), no K below the ceiling is certified and K is the
+    ceiling; at c = 1000 the last
     |A_k| > 1e-12 max|A| sits near 170 for 10 modes and near 300 for 60.
     K is the ceiling too where the weights h_k^(-1/2) of the mu closed form
     grow by more than 1e7 over the certified rows (N >~ 5 at c > 0), since
     mu moves with K by roundoff there.
-    A K above the cap of _MAX_TRUNCATION rows raises TruncationError.
+    A ceiling above the cap of _MAX_TRUNCATION rows raises TruncationError
+    before any work; a tail that fails the check at K raises
+    ConvergenceError.
     """
     num_modes = _as_int(num_modes, "num_modes")
     if num_modes < 1:
         raise ValueError("num_modes must be >= 1")
     nu, c, N = params.nu, params.c, params.N
     K = num_modes + math.ceil(c / 4) + 30
-    if K <= _MAX_TRUNCATION:
-        K = _certified_truncation(params, num_modes, K)
-    while K <= _MAX_TRUNCATION:
-        T = build_spectral_matrix(params, K)
-        eig = symtri_eigen(T, num_modes)
-        if _tails_ok(eig):
-            break
-        K *= 2
-    else:
+    if K > _MAX_TRUNCATION:
         raise TruncationError(f"the truncation for {num_modes} modes at c={c:g} "
                               f"exceeds the cap of {_MAX_TRUNCATION} rows")
+    K = _certified_truncation(params, num_modes, K)
+    T = build_spectral_matrix(params, K)
+    eig = symtri_eigen(T, num_modes)
+    if not _tails_ok(eig):
+        raise ConvergenceError(f"the coefficient tail of {num_modes} modes at c={c:g} "
+                               f"exceeds {TAIL_TOLERANCE:g} at K={K}")
 
     mus = _mu_values(params, T, eig)
     lam_max = np.abs(mus).max() * (2 * (nu + 1))  # |lambda| = 2 (nu+1) |mu|

@@ -37,8 +37,10 @@ polynomial would be even in phi.
 
 Domain (else ValueError): nu > -1, and nu != -1/2 for the Gegenbauer
 family, where its inner order vanishes; integer indices >= 0 with k <= n;
-finite angle; 0 < rho <= 60 and Bessel order <= 40, where ``bessel_j`` is
-validated.
+finite angle; 0 < rho <= 60 and Bessel order <= 40, where ``j_small`` is
+validated.  Each shape is written through j_small: (2/rho)^(nu+1) J_a(rho) =
+(rho/2)^(a-nu-1) j_small(a, rho) / Gamma(a+1), whose factors neither
+overflow nor underflow to a wrong limit at tiny rho.
 """
 
 import cmath
@@ -47,7 +49,7 @@ import numbers
 from dataclasses import dataclass
 
 from .orthopoly import gegenbauer_c
-from .specfun import bessel_j, gamma_fn, j_script
+from .specfun import gamma_fn, j_script, j_small
 
 __all__ = ["ClosedFormResult", "lemma1_rhs", "disk_transform_closed",
            "gegenbauer2d_transform_closed"]
@@ -79,12 +81,14 @@ def _rising(a, k):
 
 
 def _disk_shape(nu, n, m, rho, vartheta):
-    return ((2.0 / rho) ** (nu + 1) * bessel_j(nu + n + m + 1, rho)
+    # = (2/rho)^(nu+1) J_{nu+n+m+1}(rho)
+    return ((rho / 2) ** (n + m) * j_small(nu + n + m + 1, rho) / gamma_fn(nu + n + m + 2)
             * cmath.exp(1j * (n - m) * vartheta))
 
 
 def _gegen2d_shape(nu, n, k, rho, phi):
-    return (rho ** (-(nu + 1.0)) * bessel_j(nu + n + 1, rho)
+    # = rho^-(nu+1) J_{nu+n+1}(rho)
+    return (2.0 ** -(nu + 1) * (rho / 2) ** n * j_small(nu + n + 1, rho) / gamma_fn(nu + n + 2)
             * math.sin(phi) ** k * float(gegenbauer_c(n - k, nu + k + 1, math.cos(phi))))
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from diskslepian import cli
 from diskslepian.slepian import SlepianParams, eval_phi, eval_psi, solve_modes
+from diskslepian.transforms import ClosedFormResult
 
 
 def run_cli(*argv):
@@ -232,6 +236,58 @@ class TestTransformCommand:
         assert code == 2
         assert out == ""
 
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(["disk", "gegenbauer"]),
+           nu=st.floats(min_value=-1.0, max_value=39.0, exclude_min=True),
+           n=st.integers(0, 20), index=st.integers(0, 20),
+           rho=st.floats(min_value=0.0, max_value=60.0, exclude_min=True),
+           theta=st.floats(min_value=-100.0, max_value=100.0))
+    @example(family="disk", nu=0.5, n=0, index=0, rho=1e-310, theta=0.0)
+    @example(family="gegenbauer", nu=0.5, n=0, index=0, rho=1e-310, theta=0.0)
+    @example(family="disk", nu=0.5, n=0, index=0, rho=1e-210, theta=0.0)
+    @example(family="gegenbauer", nu=0.5, n=0, index=0, rho=1e-210, theta=0.0)
+    def test_every_accepted_call_prints_finite_numbers_or_is_refused(
+            self, family, nu, n, index, rho, theta):
+        # in-process: exit 0 with strict JSON and a finite value, or exit 2
+        # (order above 40, k > n, nu = -1/2 for the Gegenbauer family) or 3,
+        # each with nothing on stdout and one line on stderr.  "--opt=value",
+        # as argparse would take a lone "-1e-07" for an option
+        index_opt = "--m" if family == "disk" else "--k"
+        argv = ["transform", f"--family={family}", f"--nu={nu!r}", f"--n={n}",
+                f"{index_opt}={index}", f"--rho={rho!r}", f"--theta={theta!r}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        event(f"exit {code}")
+        if code == 0:
+            assert err == ""
+            result = json.loads(out, parse_constant=_reject_constant)["results"][0]
+            assert math.isfinite(result["re"]) and math.isfinite(result["im"])
+        else:
+            assert code in (2, 3)
+            assert out == ""
+            assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_non_finite_value_is_numerical_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "disk_transform_closed",
+                            lambda *args: ClosedFormResult(complex(math.nan, 0.0), 1.0))
+        code = run_cli("transform", "--family", "disk", "--nu", "1", "--n", "1",
+                       "--m", "0", "--rho", "1.3")
+        _assert_one_line_refusal(code, capsys)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _assert_one_line_refusal(code, capsys):
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
+    assert "non-finite" in err
+
 
 class TestExitCodes:
     def test_usage_error_from_argparse(self):
@@ -247,6 +303,30 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
         assert "exceeds the cap of 4096 rows" in err
         assert f"c={float(c):g}" in err
+
+    def test_failing_tail_is_numerical_failure(self, capsys, monkeypatch):
+        # a K too short for the tail is refused in one short line, not
+        # retried at a larger K
+        from diskslepian import slepian as sl
+        monkeypatch.setattr(sl, "_certified_truncation",
+                            lambda params, num_modes, ceiling: num_modes + 2)
+        assert run_cli("eigs", "--nu", "0", "--c", "40", "--N", "0", "--modes", "10") == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
+        assert "K=12" in err
+
+    @pytest.mark.parametrize("command", ["eval", "tabulate", "tabulate-polar"])
+    def test_non_finite_eigenfunction_is_numerical_failure(self, capsys, monkeypatch,
+                                                           command):
+        # JSON (eval) and CSV (tabulate) both refuse a NaN rather than print it
+        monkeypatch.setattr(cli, "eval_phi", lambda mode, params, x: np.full(np.shape(x), np.nan))
+        monkeypatch.setattr(cli, "eval_psi",
+                            lambda mode, params, r, theta: np.full(np.shape(r), np.nan + 0j))
+        extra = {"eval": ("--at", "0.5"), "tabulate": ("--grid-r", "3"),
+                 "tabulate-polar": ("--grid-r", "3", "--grid-theta", "2")}[command]
+        code = run_cli(command.split("-")[0], "--nu", "0", "--c", "1", "--N", "0", *extra)
+        _assert_one_line_refusal(code, capsys)
 
     @pytest.mark.parametrize("command", ["eigs", "eval", "tabulate"])
     @pytest.mark.parametrize("option", [("--truncation", "40"), ("--tol", "1e-12")])

@@ -141,9 +141,33 @@ class TestSolveModes:
             expect = 2 * 1.5 * (1j ** (N % 4)) * m.mu
             assert m.lam == expect
 
-    def test_truncation_cap(self):
+    def test_truncation_cap(self, monkeypatch):
+        # the ceiling is checked before any work: no bound walk, no build
+        def fail(*args):
+            raise AssertionError("called above the cap")
+        monkeypatch.setattr(sl, "_certified_truncation", fail)
+        monkeypatch.setattr(sl, "build_spectral_matrix", fail)
         with pytest.raises(TruncationError):
             sl.solve_modes(SlepianParams(nu=0.0, c=1e9, N=0), 1)
+
+    def test_failing_tail_is_refused_after_one_build(self, monkeypatch):
+        # K = num_modes + 2 is far too short at c = 40: the solve builds and
+        # eigensolves once at the bound's K and refuses the tail there, with
+        # no retry at a larger K
+        builds = []
+        real_build = sl.build_spectral_matrix
+        monkeypatch.setattr(sl, "build_spectral_matrix",
+                            lambda params, K: builds.append(K) or real_build(params, K))
+        monkeypatch.setattr(sl, "_certified_truncation",
+                            lambda params, num_modes, ceiling: num_modes + 2)
+        with pytest.raises(sl.ConvergenceError) as info:
+            sl.solve_modes(SlepianParams(nu=0.0, c=40.0, N=0), 10)
+        assert builds == [12]
+        assert not isinstance(info.value, TruncationError)
+        msg = str(info.value)
+        assert "\n" not in msg
+        for part in ("K=12", "10 modes", "c=40", "1e-12"):
+            assert part in msg
 
     def test_weyl_style_perturbation_bound(self):
         # Lambda = diag(chi0) + c^2 (I - J)/2 with 0 < (I - J)/2 < I, so by

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -181,6 +182,45 @@ class TestGegenbauer2DTransform:
         assert 1 / res.discrepancy_log == pytest.approx(expect, rel=1e-12)
         printed = tr._paper_gegen2d_constant(nu, 1, 0)
         assert printed / tr._gegen2d_constant(nu, 1, 0) == pytest.approx(expect, rel=1e-12)
+
+
+SHAPE_NUS = (-0.9, -0.3, 0.0, 0.5, 1.7, 5.0, 12.0)
+SHAPE_RHOS = (1e-6, 0.01, 0.3, 1.3, 5.0, 11.9, 12.5, 30.0, 45.0, 59.0)
+
+
+class TestShapes:
+    @pytest.mark.parametrize("nu", SHAPE_NUS)
+    def test_shapes_against_mpmath(self, nu):
+        # (2/rho)^(nu+1) J_{nu+n+m+1}(rho) e^{i(n-m) vartheta} and
+        # rho^-(nu+1) J_{nu+n+1}(rho) sin(phi)^k C_{n-k}^{nu+k+1}(cos phi),
+        # n, m <= 5, across both Bessel regimes.  phi = 0.3 keeps the
+        # Gegenbauer factor clear of its zeros and cancellation
+        vartheta, phi = 0.7, 0.3
+        mnu, mphi = oracles.mp.mpf(nu), oracles.mp.mpf(phi)
+        worst = 0.0
+        for rho in SHAPE_RHOS:
+            mrho = oracles.mp.mpf(rho)
+            bessel = {a: oracles.bessel_j_mp(mnu + a + 1, mrho) for a in range(11)}
+            for n, m in itertools.product(range(6), repeat=2):
+                ref = ((2 / mrho) ** (mnu + 1) * bessel[n + m]
+                       * oracles.mp.expj((n - m) * oracles.mp.mpf(vartheta)))
+                got = tr._disk_shape(nu, n, m, rho, vartheta)
+                worst = max(worst, float(abs(got - ref) / abs(ref)))
+                if m <= n:
+                    ref = (mrho ** -(mnu + 1) * bessel[n] * oracles.mp.sin(mphi) ** m
+                           * oracles.mp.gegenbauer(n - m, mnu + m + 1, oracles.mp.cos(mphi)))
+                    got = tr._gegen2d_shape(nu, n, m, rho, phi)
+                    worst = max(worst, float(abs(got - ref) / abs(ref)))
+        assert worst <= 2e-13
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.7])
+    @pytest.mark.parametrize("rho", [1e-210, 1e-310, 5e-324])
+    def test_constant_image_at_tiny_rho_is_one(self, nu, rho):
+        # the n = 0 image of the constant is j_{nu+1}(rho) -> 1, where the
+        # power (2/rho)^(nu+1) alone overflows and J_{nu+1}(rho) underflows
+        for value in (tr.disk_transform_closed(nu, 0, 0, rho, 0.4).value,
+                      tr.gegenbauer2d_transform_closed(nu, 0, 0, rho, 0.4).value):
+            assert abs(value - 1.0) <= 1e-15
 
 
 class TestWatsonIntegrals:
