@@ -28,7 +28,7 @@ import numpy as np
 from . import _ddarith as dd
 from .linalg import EigenPair
 from .quadrature import radial_rule
-from .specfun import j_small, j_script_over_power_array
+from .specfun import j_script_array, j_small
 
 __all__ = ["apply_finite_hankel", "apply_L", "nystrom_hankel_eigs", "kernel_K",
            "apply_weighted_fourier", "apply_adjoint_fourier"]
@@ -59,7 +59,7 @@ def apply_finite_hankel(nu, c, N, f, x, rule):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("apply_finite_hankel requires x > 0")
-    kern = j_script_over_power_array(N, c * x[..., None] * rule.nodes, 0.0)
+    kern = j_script_array(N, c * x[..., None] * rule.nodes)
     terms = rule.weights * kern * np.asarray(f(rule.nodes), dtype=float)
     out = dd.to_float(dd.dd_sum(terms, np.zeros_like(terms), axis=-1))
     return out if out.ndim else float(out)

@@ -35,12 +35,12 @@ def jacobi_recurrence(n, a, b):
     alpha and sqrt(beta[1:]) make the orthonormal Jacobi matrix J, the
     multiplication by u, whose eigenvalues are the Gauss nodes.  Entry k
     depends on k alone: a shorter n is a prefix, bitwise.  k = 0 (0/0 at
-    a + b = 0) and k = 1 (0/0 at a + b = -1) take finite branches.
+    a + b = 0) and k = 1 (x/0 near a + b = -1) take silent finite branches.
     """
     apb = a + b
     k = np.arange(n, dtype=float)
     den = 2 * k + apb
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         alpha = (b * b - a * a) / (den * (den + 2))
         beta = 4 * k * (k + a) * (k + b) * (k + apb) / (den * den * (den + 1) * (den - 1))
     lo, hi = sorted((a, b))

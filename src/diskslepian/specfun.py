@@ -13,9 +13,9 @@ precision on every platform; the public functions validate and rescale:
 * x <= _SERIES_CUTOFF: the ascending series sum_k (-x^2/4)^k / (k! (nu+1)_k)
   in double-double (``_ddarith.jsmall_series``), over a scalar or an
   ndarray; near the cutoff its terms reach ~1e4 while the sum is O(1), so
-  plain double would lose ~3 digits.  The power and Gamma prefactor is
-  formed from the two where they are normal floats (``_prefactor``), else,
-  as in ``j_script_over_power_array``, in log space;
+  plain double would lose ~3 digits.  The power and Gamma prefactor
+  (x/2)^p Gamma(a+1)^(+-1) is formed by ``_power_gamma``, the one routine
+  that ``transforms`` also writes its closed forms through;
 * larger x: one backward (Miller) recurrence in plain floats, normalized
   through the Neumann-type sum (x/2)**mu = sum_k (mu+2k) Gamma(mu+k)/k!
   J_{mu+2k}(x) for the fractional base order mu in [0, 1); orders in
@@ -111,33 +111,33 @@ def _bessel_miller(order, x):
     return target * math.exp(mu * math.log(x / 2)) / ssum
 
 
-def _prefactor(nu, x, small):
-    """Gamma(nu+1) (2/x)^nu, from J_nu(x) to j_small(nu, x), where ``small``,
-    else its inverse: from the power and Gamma where both and the result
-    are normal floats, else in log space, which loses |nu log(x/2)| ulps
-    (9.3e-14 of J_40(1e-6))."""
-    sign = 1 if small else -1
+def _power_gamma(x, p, a, sign):
+    """(x/2)^p Gamma(a+1)^sign, sign = +1 or -1, for x > 0 and a > -1: from
+    x**p 2**-p and Gamma where both and the result are normal floats, else
+    in log space, which loses |p log(x/2)| ulps (9.3e-14 of J_40(1e-6)).
+    Not (x/2)**p: x/2 rounds 5e-324 to 0."""
     try:
-        power, gamma = (x / 2) ** (-sign * nu), math.gamma(nu + 1)
-        out = power * gamma if small else power / gamma
-        if _TINY <= min(power, out) and out < math.inf:
+        x_p, gamma = x ** p, math.gamma(a + 1)
+        power = x_p * 2.0 ** -p
+        out = power * gamma if sign > 0 else power / gamma
+        if _TINY <= min(x_p, power, out) and out < math.inf:
             return out
     except OverflowError:
         pass
-    return math.exp(sign * (math.lgamma(nu + 1) - nu * math.log(x / 2)))
+    return math.exp(p * (math.log(x) - math.log(2.0)) + sign * math.lgamma(a + 1))
 
 
 def _bessel(nu, x, small):
     """J_nu(x), or j_small(nu, x) where ``small``, for nu > -1 and x > 0.
 
     The series gives j_small, the Miller recurrence J_nu (stepping down from
-    nu+1 and nu+2 for nu < 0); the other takes the ``_prefactor``.
+    nu+1 and nu+2 for nu < 0); the other takes the ``_power_gamma`` factor.
     The Miller cost grows with max(nu, x): a start above _MILLER_MAX_ROWS
     is a ValueError.
     """
     if x <= _SERIES_CUTOFF:
         j = _j_small_series(nu, x)
-        return j if small else _prefactor(nu, x, small) * j
+        return j if small else _power_gamma(x, nu, nu, -1) * j
     if _miller_start(nu, x) > _MILLER_MAX_ROWS:
         raise ValueError(f"the Miller recurrence of J at order {nu} and x = {x} "
                          f"would run more than {_MILLER_MAX_ROWS} rows")
@@ -145,7 +145,7 @@ def _bessel(nu, x, small):
         j = _bessel_miller(nu, x)
     else:
         j = (2 * (nu + 1) / x) * _bessel_miller(nu + 1, x) - _bessel_miller(nu + 2, x)
-    return _prefactor(nu, x, small) * j if small else j
+    return _power_gamma(x, -nu, nu, 1) * j if small else j
 
 
 def bessel_j(order, x):
@@ -180,25 +180,20 @@ def j_script(nu, x):
     return math.sqrt(x) * _bessel(nu, x, small=False)
 
 
-def j_script_over_power_array(order, z, power):
-    """Vectorized j_script(order, z) / z**power for small-argument arrays.
+def j_script_array(order, z):
+    """Vectorized j_script(order, z) for small-argument arrays.
 
-    Computes sqrt(z) J_order(z) / z**power = z**(order + 1/2 - power)
-    * j_order(z) / (2**order Gamma(order+1)): the series in double-double,
-    the power/Gamma prefactor in log space so very high orders neither
-    overflow nor underflow prematurely.  The series is valid only for
-    |z| <= _SERIES_CUTOFF; larger or non-finite arguments raise ValueError.
+    sqrt(z) J_order(z) = z**(order+1/2) j_order(z) / (2**order Gamma(order+1)),
+    the series in double-double and the prefactor in log space, so very
+    high orders neither overflow nor underflow prematurely.  |z| above
+    _SERIES_CUTOFF, or not finite, raises ValueError.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.abs(z) <= _SERIES_CUTOFF):
         raise ValueError(f"power series needs |z| <= {_SERIES_CUTOFF}, "
                          f"got {float(np.max(np.abs(z))):.6g}")
     small = _j_small_series(order, z)
-    expo = order + 0.5 - power
     log_pref = -order * math.log(2.0) - math.lgamma(order + 1)
-    if expo == 0:
-        scale = math.exp(log_pref)
-    else:
-        with np.errstate(divide="ignore"):  # z = 0: exp(-inf) = 0, the limit
-            scale = np.exp(expo * np.log(z) + log_pref)
-    return small * scale
+    with np.errstate(divide="ignore"):  # z = 0: the limit, 0 (1 at order -1/2)
+        log_power = 0.0 if order == -0.5 else (order + 0.5) * np.log(z)
+    return small * np.exp(log_power + log_pref)

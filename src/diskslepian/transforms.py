@@ -38,9 +38,11 @@ polynomial would be even in phi.
 Domain (else ValueError): nu > -1, and nu != -1/2 for the Gegenbauer
 family, where its inner order vanishes; integer indices >= 0 with k <= n;
 finite angle; 0 < rho <= 60 and Bessel order <= 40, where ``j_small`` is
-validated.  Each shape is written through j_small: (2/rho)^(nu+1) J_a(rho) =
-(rho/2)^(a-nu-1) j_small(a, rho) / Gamma(a+1), whose factors neither
-overflow nor underflow to a wrong limit at tiny rho.
+validated.  Every closed form goes through ``specfun._power_gamma`` and
+``j_small``: x^-q J_a(x) = 2^-q (x/2)^(a-q) Gamma(a+1)^-1 j_small(a, x),
+whose factors neither overflow nor underflow to a wrong limit at tiny x.
+So ``lemma1_rhs`` is right for every x > 0, down to 5e-324, and at Bessel
+orders up to 261, pinned to 1e-13 by tests at 199 and 261.
 """
 
 import cmath
@@ -49,7 +51,7 @@ import numbers
 from dataclasses import dataclass
 
 from .orthopoly import gegenbauer_c
-from .specfun import gamma_fn, j_script, j_small
+from .specfun import _power_gamma, gamma_fn, j_small
 
 __all__ = ["ClosedFormResult", "lemma1_rhs", "disk_transform_closed",
            "gegenbauer2d_transform_closed"]
@@ -71,8 +73,9 @@ def lemma1_rhs(alpha, beta, n, x):
     """
     if x <= 0:
         raise ValueError("lemma1_rhs requires x > 0")
-    pref = 2.0 ** beta * gamma_fn(beta + n + 1) / math.factorial(n)
-    return pref * j_script(alpha + beta + 2 * n + 1, x) / x ** (beta + 1)
+    a = alpha + beta + 2 * n + 1
+    return (gamma_fn(beta + n + 1) / (math.sqrt(2.0) * math.factorial(n))
+            * _power_gamma(x, alpha + 2 * n + 0.5, a, -1) * j_small(a, x))
 
 
 def _rising(a, k):
@@ -82,13 +85,15 @@ def _rising(a, k):
 
 def _disk_shape(nu, n, m, rho, vartheta):
     # = (2/rho)^(nu+1) J_{nu+n+m+1}(rho)
-    return ((rho / 2) ** (n + m) * j_small(nu + n + m + 1, rho) / gamma_fn(nu + n + m + 2)
+    a = nu + n + m + 1
+    return (_power_gamma(rho, n + m, a, -1) * j_small(a, rho)
             * cmath.exp(1j * (n - m) * vartheta))
 
 
 def _gegen2d_shape(nu, n, k, rho, phi):
     # = rho^-(nu+1) J_{nu+n+1}(rho)
-    return (2.0 ** -(nu + 1) * (rho / 2) ** n * j_small(nu + n + 1, rho) / gamma_fn(nu + n + 2)
+    a = nu + n + 1
+    return (2.0 ** -(nu + 1) * _power_gamma(rho, n, a, -1) * j_small(a, rho)
             * math.sin(phi) ** k * float(gegenbauer_c(n - k, nu + k + 1, math.cos(phi))))
 
 

@@ -64,6 +64,15 @@ def hankel_jacobi_lhs_mp(alpha, beta, n, x, dps=30):
         return mp.quad(integrand, [0, mp.pi / 2])
 
 
+def lemma1_rhs_mp(alpha, beta, n, x, dps=50):
+    """The closed form of Lemma 1, 2^beta Gamma(beta+n+1)/n!
+    sqrt(x) J_{alpha+beta+2n+1}(x) / x^(beta+1), at ``dps`` digits."""
+    with mp.workdps(dps):
+        b, xx = mp.mpf(beta), mp.mpf(x)
+        return (2 ** b * mp.gamma(b + n + 1) / mp.factorial(n) * mp.sqrt(xx)
+                * mp.besselj(mp.mpf(alpha) + b + 2 * n + 1, xx) / xx ** (b + 1))
+
+
 def hankel_jacobi_lhs_series_mp(alpha, beta, n, x, dps=60):
     """The finite Hankel transform of ``hankel_jacobi_lhs_mp`` as finite
     sums: the script-J power series sqrt(x t) sum_k (-1)^k (x t/2)^(alpha+2k)

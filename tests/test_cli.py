@@ -289,6 +289,53 @@ def _assert_one_line_refusal(code, capsys):
     assert "non-finite" in err
 
 
+class TestSolveCommands:
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["eigs", "eval", "tabulate"]),
+           nu=st.floats(min_value=-1.0, max_value=10.0, exclude_min=True),
+           c=st.floats(min_value=0.0, max_value=1000.0),
+           N=st.integers(0, 400), modes=st.integers(1, 60), data=st.data())
+    def test_every_accepted_call_prints_finite_numbers_or_is_refused(
+            self, command, nu, c, N, modes, data):
+        # in-process: exit 0 with strict JSON, finite numbers, |lambda| under
+        # its contraction bound and chi rising, or exit 2 or 3 with nothing
+        # on stdout and one line on stderr
+        argv = [command, f"--nu={nu!r}", f"--c={c!r}", f"--N={N}"]
+        if command == "eigs":
+            argv.append(f"--modes={modes}")
+        else:
+            argv.append(f"--mode={data.draw(st.integers(0, modes - 1), label='mode')}")
+        if command == "eval":
+            radii = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+                                       min_size=1, max_size=3), label="radii")
+            for r in radii:
+                theta = data.draw(st.none() | st.floats(-10.0, 10.0), label="theta")
+                argv.append(f"--at={r!r}" + ("" if theta is None else f":{theta!r}"))
+        if command == "tabulate":
+            argv += ["--format=json", f"--grid-r={data.draw(st.integers(1, 20), label='grid_r')}",
+                     f"--grid-theta={data.draw(st.integers(0, 8), label='grid_theta')}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        event(f"{command} exit {code}")
+        if code != 0:
+            assert code in (2, 3)
+            assert out == ""
+            assert err.count("\n") == 1 and err.endswith("\n")
+            return
+        assert err == ""
+        results = json.loads(out, parse_constant=_reject_constant)["results"]
+        for row in results:
+            assert all(math.isfinite(v) for v in row.values() if isinstance(v, float))
+        if command == "eigs":
+            bound = min(1.0, 2 * (nu + 1) / c) if nu >= 0 and c > 0 else 1.0
+            for row in results:
+                assert math.hypot(row["lambda_re"], row["lambda_im"]) <= bound * (1 + 1e-12)
+            chis = [row["chi"] for row in results]
+            assert all(a < b for a, b in zip(chis, chis[1:]))
+
+
 class TestExitCodes:
     def test_usage_error_from_argparse(self):
         assert run_cli("eigs", "--nu", "0") == 2

@@ -70,6 +70,13 @@ class TestJacobiRecurrence:
         ref = oracles.jacobi_recurrence_mp(1, a, b)[1][0]
         assert abs(beta0 - ref) <= 1e-15 * ref
 
+    def test_rounded_zero_denominator_warns_of_nothing(self):
+        # at b = -1 + 2^-53, 2 + a + b rounds to 1, so the k = 1 quotient
+        # divides by 0 before its finite branch replaces it; the CLI property
+        # test found it through eigs --nu -0.9999999999999999
+        alpha, beta = op.jacobi_recurrence(32, 0.0, -0.9999999999999999)
+        assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
+
     def test_a_shorter_n_is_a_prefix_bitwise(self):
         whole = op.jacobi_recurrence(50, 3.0, 0.7123)
         for n in (1, 2, 17):

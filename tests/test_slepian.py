@@ -10,6 +10,7 @@ import scipy.special
 
 from diskslepian import operators as ops
 from diskslepian import slepian as sl
+from diskslepian import transforms as tr
 from diskslepian.orthopoly import jacobi_recurrence
 from diskslepian.quadrature import disk_rule, radial_rule
 from diskslepian.slepian import RadialMode, SlepianParams, TruncationError
@@ -666,6 +667,63 @@ class TestLargeBandwidth:
         modes = sl.solve_modes(SlepianParams(0.0, 0.5, 0), 13)
         assert abs(ref[-1]) < 1e-46
         assert all(abs(m.mu - r) <= 1e-12 * abs(r) for m, r in zip(modes, ref))
+
+
+def _lemma1_images(params, K, r):
+    """h_k^(-1/2) H T_{N,k}(r) for k < K, by the paper's Lemma 1:
+    H T_{N,k}(r) = N! k!/(k+N)! lemma1_rhs(N, nu, k, c r).  So H phi(r) is
+    their dot product with the coefficients of phi, without quadrature."""
+    nu, c, N = params.nu, params.c, params.N
+    return np.array([tr.lemma1_rhs(N, nu, k, c * r)
+                     / (math.comb(k + N, N) * math.sqrt(t_norm_sq(TBasisIndex(N, k, nu))))
+                     for k in range(K)])
+
+
+def _rayleigh_mu(mode, params):
+    """H phi(1) / (sqrt(c) phi(1)) of ``mode``, summed by Lemma 1."""
+    hphi = mode.coeffs @ _lemma1_images(params, len(mode.coeffs), 1.0)
+    return hphi / (math.sqrt(params.c) * sl.eval_phi(mode, params, 1.0))
+
+
+class TestLemma1EigenEquation:
+    """H phi = sqrt(c) mu phi with H applied by Lemma 1, term by term: an
+    oracle with no quadrature and no Nystrom matrix, at any c r up to 60."""
+
+    @pytest.mark.parametrize("nu,c,N,tol", [
+        (0.0, 1.0, 0, 1e-14), (1.3, 10.0, 2, 1e-14), (2.5, 20.0, 4, 1e-14),
+        (-0.5, 30.0, 1, 1e-14), (0.0, 5.0, 3, 1e-14), (0.0, 40.0, 0, 1e-14),
+        # c r = 60 and Bessel orders up to 105
+        (2.9, 60.0, 3, 1e-12)])
+    def test_eigen_equation(self, nu, c, N, tol):
+        p = SlepianParams(nu, c, N)
+        rs = (0.2, 0.5, 0.8, 1.0)
+        modes = sl.solve_modes(p, 5)
+        images = [_lemma1_images(p, modes[0].truncation, r) for r in rs]
+        grid = np.linspace(0.0, 1.0, 201)[1:]
+        for m in modes:
+            scale = np.abs(sl.eval_phi(m, p, grid)).max()
+            for r, image in zip(rs, images):
+                resid = m.coeffs @ image - math.sqrt(c) * m.mu * sl.eval_phi(m, p, r)
+                assert abs(resid) <= tol * scale
+
+    @pytest.mark.parametrize("nu", [0.0, 1.3, -0.5])
+    def test_rayleigh_ratio_against_double_double_nystrom(self, nu):
+        # the ratio does not move with the mode count, though mu does there
+        ref = ops.nystrom_hankel_eigs(nu, 40.0, 60, 300, 1)[0].value / math.sqrt(40.0)
+        p = SlepianParams(nu, 40.0, 60)
+        for count in (4, 10, 30, 60):
+            ratio = _rayleigh_mu(sl.solve_modes(p, count)[0], p)
+            assert abs(ratio - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("N,count", [
+        pytest.param(N, count, marks=pytest.mark.xfail(
+            strict=True, reason=f"ROADMAP item 1: mu at high N is {err} off"))
+        for N, count, err in [(60, 30, "7.4e-6"), (40, 4, "6.3e-8")]])
+    def test_mu_against_the_rayleigh_ratio(self, N, count):
+        p = SlepianParams(0.0, 40.0, N)
+        mode = sl.solve_modes(p, count)[0]
+        ratio = _rayleigh_mu(mode, p)
+        assert abs(mode.mu - ratio) <= 1e-10 * abs(ratio)
 
 
 class TestTrace:

@@ -132,6 +132,17 @@ def test_power_gamma_prefactor_keeps_relative_accuracy(fn, order, x):
     assert abs(got - ref) <= 1e-15 * abs(ref)
 
 
+@pytest.mark.parametrize("order", [41.0, 60.5, 77.0, 104.9, 150.0, 199.0])
+def test_j_small_past_the_validated_orders(order):
+    # the Lemma 1 oracle of the eigen-equation reads orders N + nu + 2k + 1
+    # far past 40; the worst here, 6.4e-14, is at (199, 60)
+    mp = oracles.mp
+    for x in (1e-6, 0.5, 5.0, 11.9, 12.5, 20.0, 40.0, 60.0):
+        with mp.workdps(50):
+            ref = mp.gamma(order + 1) * (2 / mp.mpf(x)) ** order * oracles.bessel_j_mp(order, x)
+        assert abs(sf.j_small(order, x) - ref) <= 1e-13 * abs(ref)
+
+
 class TestNormalizedVariants:
     def test_j_small_at_zero(self):
         for nu in (-0.5, 0.0, 1.0, 7.3):
@@ -184,18 +195,23 @@ class TestNormalizedVariants:
 
     def test_vectorized_kernel_matches_scalar(self):
         z = np.linspace(0.0, 11.5, 97)
-        arr = sf.j_script_over_power_array(3.5, z, 1.5)
+        arr = sf.j_script_array(3.5, z)
         for zi, vi in zip(z[1:], arr[1:]):
-            assert float(vi) == pytest.approx(sf.j_script(3.5, zi) / zi ** 1.5,
-                                              rel=1e-12, abs=1e-14)
+            assert float(vi) == pytest.approx(sf.j_script(3.5, zi), rel=1e-12, abs=1e-14)
         assert float(arr[0]) == 0.0
+
+    def test_vectorized_kernel_at_order_minus_half_is_finite_at_zero(self):
+        # z**0 = 1 at z = 0 too: the limit sqrt(2/pi), not 0 * log(0)
+        z = np.array([0.0, 0.5, 3.0])
+        for zi, vi in zip(z, sf.j_script_array(-0.5, z)):
+            assert float(vi) == pytest.approx(sf.j_script(-0.5, zi), rel=1e-14)
 
     def test_vectorized_kernel_refuses_beyond_series_cutoff(self):
         ok = np.array([0.5, _SERIES_CUTOFF])
-        assert np.all(np.isfinite(sf.j_script_over_power_array(2.0, ok, 0.0)))
+        assert np.all(np.isfinite(sf.j_script_array(2.0, ok)))
         for bad in ([0.5, _SERIES_CUTOFF * (1 + 1e-12)], [0.1, 40.0], [0.1, math.nan]):
             with pytest.raises(ValueError):
-                sf.j_script_over_power_array(2.0, np.array(bad), 0.0)
+                sf.j_script_array(2.0, np.array(bad))
 
 
 _ROW_CAP_SCRIPT = """

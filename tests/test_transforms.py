@@ -70,6 +70,37 @@ class TestLemma:
         quad = oracles.hankel_jacobi_lhs_mp(a, b, n, x)
         assert abs(series - quad) <= 1e-14 * abs(quad)
 
+    @pytest.mark.parametrize("a,b,n,x,value", [
+        (0.0, 0.0, 0, 5e-324, 1.1113793747425387e-162),
+        (0.0, 0.0, 0, 1e-300, 5e-151),
+        (0.0, 2.5, 0, 1e-200, 1.4285714285714286e-101),
+        (0.5, 1.0, 0, 1e-300, 1.0638460810704872e-301)])
+    def test_tiny_argument_against_mpmath(self, a, b, n, x, value):
+        # script-J(x) and x^(beta+1) underflow here, or x/2 rounds to 0,
+        # while the value itself is a normal float
+        ref = oracles.lemma1_rhs_mp(a, b, n, x)
+        assert abs(float(ref) - value) <= 1e-16 * value
+        assert abs(tr.lemma1_rhs(a, b, n, x) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("a,b,n,x", [(60.0, 0.0, 69, 5.0), (60.0, 0.0, 69, 40.0),
+                                         (60.0, 0.0, 100, 60.0)])
+    def test_high_bessel_order_against_mpmath(self, a, b, n, x):
+        # Bessel orders 199 and 261, where Gamma(a+1) overflows and the
+        # power-and-Gamma factor is formed in log space
+        ref = oracles.lemma1_rhs_mp(a, b, n, x)
+        assert abs(tr.lemma1_rhs(a, b, n, x) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("a,b", itertools.product((0.0, 0.5, 1.0, 2.5), repeat=2))
+    def test_parameter_grid_against_mpmath(self, a, b):
+        # the lemma1 suite's (alpha, beta), n <= 6, across both Bessel
+        # regimes; the worst is 1.06e-13, at (1, 1, 6, 20)
+        worst = 0.0
+        for n in range(7):
+            for x in (1e-6, 0.01, 0.3, 1.3, 5.0, 11.9, 12.5, 20.0, 30.0, 45.0, 60.0):
+                ref = oracles.lemma1_rhs_mp(a, b, n, x)
+                worst = max(worst, float(abs(tr.lemma1_rhs(a, b, n, x) - ref) / abs(ref)))
+        assert worst <= 2e-13
+
 
 class TestDiskTransform:
     def test_constant_anchor(self):
