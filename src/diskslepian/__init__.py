@@ -14,7 +14,6 @@ and two-variable Gegenbauer polynomials.
 
 __version__ = "0.1.0"
 
-from .linalg import EigenPair, Eigenpairs, SymTridiagonal, symtri_eigen
 from .operators import (apply_adjoint_fourier, apply_finite_hankel, apply_L,
                         apply_weighted_fourier, kernel_K, nystrom_hankel_eigs)
 from .orthopoly import disk_poly, disk_poly_norm, gegenbauer2d, gegenbauer_c, jacobi_sequence
@@ -26,7 +25,6 @@ from .transforms import (ClosedFormResult, disk_transform_closed,
                          gegenbauer2d_transform_closed, lemma1_rhs)
 
 __all__ = [
-    "EigenPair", "Eigenpairs", "SymTridiagonal", "symtri_eigen",
     "apply_adjoint_fourier", "apply_finite_hankel", "apply_L",
     "apply_weighted_fourier", "kernel_K", "nystrom_hankel_eigs",
     "disk_poly", "disk_poly_norm", "gegenbauer2d", "gegenbauer_c", "jacobi_sequence",

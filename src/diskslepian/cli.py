@@ -25,8 +25,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .linalg import ConvergenceError
-from .slepian import TAIL_TOLERANCE, SlepianParams, eval_phi, eval_psi, solve_modes
+from .slepian import (TAIL_TOLERANCE, ConvergenceError, SlepianParams, eval_phi, eval_psi,
+                      solve_modes)
 from .transforms import disk_transform_closed, gegenbauer2d_transform_closed
 
 SCHEMA_VERSION = 1

@@ -23,10 +23,11 @@ with the tree and 0.0106 with every step in 80-bit.  The weighted Fourier
 transform sums in plain double.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import _ddarith as dd
-from .linalg import EigenPair
 from .quadrature import radial_rule
 from .specfun import j_script_array, j_small
 
@@ -34,6 +35,13 @@ __all__ = ["apply_finite_hankel", "apply_L", "nystrom_hankel_eigs", "kernel_K",
            "apply_weighted_fourier", "apply_adjoint_fourier"]
 
 _NYSTROM_MAX_C = 40.0
+
+
+class EigenPair(NamedTuple):
+    """One (value, vector) pair, as ``nystrom_hankel_eigs`` returns them."""
+
+    value: float
+    vector: np.ndarray
 
 
 def apply_finite_hankel(nu, c, N, f, x, rule):

@@ -33,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import SymTridiagonal
 from .orthopoly import jacobi_recurrence
 
 __all__ = ["QuadratureRule", "DiskRule", "gauss_jacobi", "radial_rule", "disk_rule"]
@@ -113,7 +112,7 @@ def _golub_welsch(alpha, beta):
     gauss_jacobi(240, -0.9, 0) (4e-15 when carried).
     """
     sqrt_beta = np.sqrt(beta[1:])
-    nodes = np.linalg.eigvalsh(SymTridiagonal(alpha, sqrt_beta).to_dense())
+    nodes = np.linalg.eigvalsh(np.diag(alpha) + np.diag(sqrt_beta, -1))
     q, dq, s, ds = _orthonormal_sweep(nodes, alpha, sqrt_beta, beta[0])
     h = q / dq
     return QuadratureRule(nodes - h, 1.0 / (s - h * ds), (-1.0, 1.0))

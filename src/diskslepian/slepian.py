@@ -23,6 +23,20 @@ diagonalises: with s = x^2, T_k / sqrt(h_k) = x^(N+1/2) r_k(s), where r_0 =
 h_0^(-1/2) and row k of x^2 r = (I - J)/2 r gives r_{k+1} = ((s - x2_{k,k})
 r_k - x2_{k-1,k} r_{k-1}) / x2_{k,k+1} (Gautschi, SIAM Rev. 9, 1967).
 
+The eigensolve (``symtri_eigen``) passes the diagonal and subdiagonal
+densely to one ``numpy.linalg.eigh`` call, which reads the lower triangle.
+With one BLAS thread on a 2-vCPU Xeon that took 1.3-1.6 times as long as
+LAPACK's tridiagonal ``dstevd`` at K = 52 and 1.6-2.0 times at K = 80
+(three runs of each); ``eigh`` is kept because numpy exposes no
+tridiagonal solver and ``dstevd`` would bring scipy into the runtime,
+which stays numpy-only.  Eigenvalues come ascending, as read-only arrays.
+Each eigenvector is LAPACK's column times +-1, found in one pass, so that
+its entry of largest magnitude (at ``peak``, of size ``top``) is positive;
+LAPACK's vectors are unit to roundoff (within 2e-15 on the solver's test
+grid) and are not rescaled.  Each pair has a residual ||T v - chi v|| <=
+1e-11 ||T|| and the vectors are orthogonal to 1e-10, which the test suite
+checks, not the runtime.
+
 Sign convention: the paper-facing operator L satisfies L T = -chi T at
 c = 0, so the solver works with Lambda = -L whose spectrum is positive and
 increasing; all reported chi refer to Lambda.
@@ -60,11 +74,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ConvergenceError, SymTridiagonal, symtri_eigen
 from .orthopoly import jacobi_recurrence
 
 __all__ = ["SlepianParams", "RadialMode", "chi0", "build_spectral_matrix", "solve_modes",
-           "eval_phi", "eval_R", "eval_psi", "TruncationError", "TAIL_TOLERANCE"]
+           "eval_phi", "eval_R", "eval_psi", "SpectralMatrix", "Eigenpairs", "symtri_eigen",
+           "ConvergenceError", "TruncationError", "TAIL_TOLERANCE"]
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -82,6 +96,11 @@ TAIL_TOLERANCE = 1e-12
 # depends on eigenvector entries below roundoff and so moves with K, and
 # ``_certified_truncation`` returns the ceiling
 _MAX_WEIGHT_GROWTH = 1e7
+
+
+class ConvergenceError(RuntimeError):
+    """Eigensolver failed to converge, its input overflowed, or its result
+    broke a physical bound."""
 
 
 class TruncationError(ConvergenceError):
@@ -214,6 +233,13 @@ def _basis_terms(N, nu, K):
     return terms
 
 
+class SpectralMatrix(NamedTuple):
+    """A symmetric tridiagonal matrix: diagonal (K,) and off-diagonal (K-1,)."""
+
+    diag: np.ndarray
+    offdiag: np.ndarray
+
+
 def build_spectral_matrix(params, K):
     """Matrix of Lambda = -L_{c,N,nu} = diag(chi0) + c^2 (I - J)/2 in the
     orthonormalized T basis: d_k = chi0(N,k,nu) + c^2 (1 - alpha_k)/2 and
@@ -230,13 +256,46 @@ def build_spectral_matrix(params, K):
     t = _basis_terms(N, nu, K)
     # a non-finite entry is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = t.chi0 + c2 * t.x2_diag
-        off = c2 * t.x2_off
+        T = SpectralMatrix(t.chi0 + c2 * t.x2_diag, c2 * t.x2_off)
+    if not (np.isfinite(T.diag).all() and np.isfinite(T.offdiag).all()):  # nu >~ 1e154
+        raise ConvergenceError(f"spectral matrix entries overflow at nu={nu}, c={c}, N={N}")
+    return T
+
+
+class Eigenpairs(NamedTuple):
+    """``count`` eigenpairs as read-only arrays: values (count,), the unit
+    eigenvectors as the rows of vectors (count, K), peak (count,), the
+    index of each row's largest |entry|, where the entry is positive, and
+    top (count,), that entry, so that callers need not index it again."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    peak: np.ndarray
+    top: np.ndarray
+
+
+def symtri_eigen(T, count):
+    """Lowest ``count`` eigenpairs of the ``SpectralMatrix`` T, values
+    ascending, by the conventions of the module docstring."""
+    K = len(T.diag)
+    if count < 1 or count > K:
+        raise ValueError(f"count must be in [1, {K}], got {count}")
+    A = np.zeros((K, K))  # the lower triangle, which eigh reads
+    A.flat[::K + 1] = T.diag
+    A.flat[K::K + 1] = T.offdiag
     try:
-        return SymTridiagonal(diag, off)
-    except ValueError as exc:  # entries not finite, e.g. nu >~ 1e154
-        raise ConvergenceError(
-            f"spectral matrix entries overflow at nu={nu}, c={c}, N={N}") from exc
+        vals, vecs = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+    # C-ordered rows: ``vectors @ inv_sqrt_h`` sums in that order
+    vals, rows = vals[:count], vecs[:, :count].T.copy()
+    peak = np.abs(rows).argmax(axis=1)
+    at_peak = rows[np.arange(count), peak]
+    rows *= np.copysign(1.0, at_peak)[:, None]
+    top = np.abs(at_peak)
+    for arr in (vals, rows, peak, top):
+        arr.setflags(write=False)
+    return Eigenpairs(vals, rows, peak, top)
 
 
 def _tails_ok(eig):
@@ -284,14 +343,14 @@ def _mu_values(params, T, eig):
     nu, c, N = params.nu, params.c, params.N
     if c == 0:
         # T is diagonal, A = e_n: mu = 1/(2 (nu+1)) for N = n = 0, else 0
-        mus = np.zeros(len(eig))
+        mus = np.zeros(len(eig.values))
         if N == 0:
             mus[0] = 0.5 / (nu + 1)
         return mus
-    inv_sqrt_h = _basis_terms(N, nu, T.dim).inv_sqrt_h
+    inv_sqrt_h = _basis_terms(N, nu, len(T.diag)).inv_sqrt_h
     if not np.isfinite(inv_sqrt_h).all():
         raise ConvergenceError(
-            f"mu weights h_k^(-1/2) overflow at nu={nu}, c={c}, N={N}, K={T.dim}")
+            f"mu weights h_k^(-1/2) overflow at nu={nu}, c={c}, N={N}, K={len(T.diag)}")
     log_pref = (N * math.log(c) + math.lgamma(nu + 1) - (N + 1) * math.log(2.0)
                 - math.lgamma(N + nu + 2) + math.log(inv_sqrt_h[0]))
     return (math.exp(log_pref) * _leading_coeffs(T, eig)

@@ -41,8 +41,13 @@ finite angle; 0 < rho <= 60 and Bessel order <= 40, where ``j_small`` is
 validated.  Every closed form goes through ``specfun._power_gamma`` and
 ``j_small``: x^-q J_a(x) = 2^-q (x/2)^(a-q) Gamma(a+1)^-1 j_small(a, x),
 whose factors neither overflow nor underflow to a wrong limit at tiny x.
-So ``lemma1_rhs`` is right for every x > 0, down to 5e-324, and at Bessel
-orders up to 261, pinned to 1e-13 by tests at 199 and 261.
+The Gamma(beta+n+1)/n! of ``lemma1_rhs`` is their quotient where both are
+finite and is formed in log space where either overflows (n >~ 170).  So ``lemma1_rhs``
+is right for every x > 0, down to 5e-324, wherever ``j_small`` is finite,
+pinned to 1e-13 by tests at Bessel orders 199 and 261 and to 1e-12 at
+n = 171 and 200.  Above x = 12 ``j_small`` overflows at high order, from
+order 262 at x = 13 (369 at x = 40, 427 at x = 60), and ``lemma1_rhs``
+raises OverflowError there.
 """
 
 import cmath
@@ -74,8 +79,11 @@ def lemma1_rhs(alpha, beta, n, x):
     if x <= 0:
         raise ValueError("lemma1_rhs requires x > 0")
     a = alpha + beta + 2 * n + 1
-    return (gamma_fn(beta + n + 1) / (math.sqrt(2.0) * math.factorial(n))
-            * _power_gamma(x, alpha + 2 * n + 0.5, a, -1) * j_small(a, x))
+    try:
+        ratio = gamma_fn(beta + n + 1) / (math.sqrt(2.0) * math.factorial(n))
+    except OverflowError:  # Gamma(beta+n+1) or n! past the double range, n >~ 170
+        ratio = math.exp(math.lgamma(beta + n + 1) - math.lgamma(n + 1)) / math.sqrt(2.0)
+    return ratio * _power_gamma(x, alpha + 2 * n + 0.5, a, -1) * j_small(a, x)
 
 
 def _rising(a, k):

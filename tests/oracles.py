@@ -134,6 +134,14 @@ def sturm_count_below(diag, off, x):
     return count
 
 
+def tridiag_matvec(T, v):
+    """T v for a symmetric tridiagonal T with fields diag and offdiag."""
+    out = T.diag * v
+    out[:-1] += T.offdiag * v[1:]
+    out[1:] += T.offdiag * v[:-1]
+    return out
+
+
 def tridiag_eigs_bisect(diag, off, count, tol=mp.mpf("1e-25")):
     """First ``count`` eigenvalues (ascending) by Sturm bisection."""
     radius = max(abs(mp.mpf(d)) for d in diag) + 2 * max(

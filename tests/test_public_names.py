@@ -1,0 +1,40 @@
+"""The package's public names, and the module attributes that the benchmark's
+per-layer metrics wrap by name.  The layer tracer skips an attribute that
+does not exist, so a refactor that drops or moves one would leave its metric
+at zero without an error; it fails here instead."""
+
+import importlib
+
+import diskslepian
+from diskslepian import slepian as sl
+
+# module -> the attributes through which other layers reach it
+LAYER_ATTRIBUTES = {
+    "slepian": ("solve_modes", "build_spectral_matrix", "symtri_eigen", "eval_phi", "eval_psi"),
+    "cli": ("solve_modes", "eval_phi", "eval_psi",
+            "cmd_eigs", "cmd_tabulate", "cmd_verify", "cmd_transform"),
+    "operators": ("nystrom_hankel_eigs", "apply_finite_hankel", "radial_rule"),
+    "verification": ("radial_rule", "disk_rule"),
+}
+
+
+def test_every_public_name_resolves():
+    assert [name for name in diskslepian.__all__ if not hasattr(diskslepian, name)] == []
+
+
+def test_every_layer_attribute_exists():
+    missing = [f"{mod}.{attr}" for mod, attrs in LAYER_ATTRIBUTES.items()
+               for attr in attrs
+               if not callable(getattr(importlib.import_module(f"diskslepian.{mod}"), attr, None))]
+    assert missing == []
+
+
+def test_a_solve_builds_and_eigensolves_through_the_module_attributes(monkeypatch):
+    # a wrapper installed on the module sees the one build and the one
+    # eigensolve of a solve
+    calls = []
+    for name in ("build_spectral_matrix", "symtri_eigen"):
+        real = getattr(sl, name)
+        monkeypatch.setattr(sl, name, lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args))
+    sl.solve_modes(sl.SlepianParams(nu=0.5, c=10.0, N=1), 5)
+    assert calls == ["build_spectral_matrix", "symtri_eigen"]

@@ -318,10 +318,9 @@ class TestSolveModes:
 
     def test_leading_coeffs_refuse_an_exact_zero_pivot(self):
         # d_0 - chi = 0 exactly: the continued fraction has no finite ratio
-        from diskslepian.linalg import Eigenpairs, SymTridiagonal
-        T = SymTridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])
+        T = sl.SpectralMatrix(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5]))
         vecs = np.array([[0.1, 0.2, 0.9], [0.1, 0.9, 0.2]])
-        eig = Eigenpairs(np.array([1.0, 2.5]), vecs, np.array([2, 1]), np.array([0.9, 0.9]))
+        eig = sl.Eigenpairs(np.array([1.0, 2.5]), vecs, np.array([2, 1]), np.array([0.9, 0.9]))
         a0 = sl._leading_coeffs(T, eig)
         assert math.isnan(a0[0])
         assert a0[1] == 0.9 * (-0.5 / (1.0 - 2.5))

@@ -143,6 +143,19 @@ def test_j_small_past_the_validated_orders(order):
         assert abs(sf.j_small(order, x) - ref) <= 1e-13 * abs(ref)
 
 
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="j_small overflows at high order past the series cutoff: the "
+                          "Miller branch multiplies a J that underflows by (x/2)^-nu "
+                          "Gamma(nu+1), which overflows (from order 262 at x = 13)")
+@pytest.mark.parametrize("order, x, value", [(300.0, 13.0, 0.86901222), (380.0, 40.0, 0.34947727)])
+def test_j_small_at_high_order_past_the_cutoff(order, x, value):
+    mp = oracles.mp
+    with mp.workdps(50):
+        ref = mp.gamma(order + 1) * (2 / mp.mpf(x)) ** order * oracles.bessel_j_mp(order, x)
+    assert abs(float(ref) - value) <= 1e-8
+    assert abs(sf.j_small(order, x) - ref) <= 1e-13 * abs(ref)
+
+
 class TestNormalizedVariants:
     def test_j_small_at_zero(self):
         for nu in (-0.5, 0.0, 1.0, 7.3):

@@ -90,6 +90,19 @@ class TestLemma:
         ref = oracles.lemma1_rhs_mp(a, b, n, x)
         assert abs(tr.lemma1_rhs(a, b, n, x) - ref) <= 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("a,b,n,x,value", [
+        (0, 0, 171, 40.0, 4.3320323298642083e-278),
+        (0, 2.5, 170, 40.0, 2.2619383345010467e-276),
+        (1, 0.5, 171, 60.0, 1.2807296089223628e-219),
+        (1, 0.5, 200, 60.0, 5.988487897322156e-283)])
+    def test_gamma_ratio_past_the_double_range(self, a, b, n, x, value):
+        # Gamma(beta+n+1) or n! overflows a double from n = 170, while their
+        # ratio and the value are normal floats; the ratio is then formed in
+        # log space
+        ref = oracles.lemma1_rhs_mp(a, b, n, x)
+        assert abs(float(ref) - value) <= 1e-16 * value
+        assert abs(tr.lemma1_rhs(a, b, n, x) - ref) <= 1e-12 * ref
+
     @pytest.mark.parametrize("a,b", itertools.product((0.0, 0.5, 1.0, 2.5), repeat=2))
     def test_parameter_grid_against_mpmath(self, a, b):
         # the lemma1 suite's (alpha, beta), n <= 6, across both Bessel
