@@ -7,27 +7,35 @@ in this package:
     j_script(nu, x) = sqrt(x) * J_nu(x)                     ("script-J")
 
 Gamma is the standard library's ``math.gamma``.  Every scalar Bessel value
-comes from one routine, ``_bessel``, by one of two sums, returned in 64-bit
-precision on every platform; the public functions validate and rescale:
+comes from j_small, by one routine, ``_j_small``, and one of two sums,
+returned in 64-bit precision on every platform; J and script-J are j_small
+times the power and Gamma factor (x/2)^p / Gamma(a+1) of ``_power_gamma``,
+the one routine that ``transforms`` also writes its closed forms through:
 
 * x <= _SERIES_CUTOFF: the ascending series sum_k (-x^2/4)^k / (k! (nu+1)_k)
   in double-double (``_ddarith.jsmall_series``), over a scalar or an
   ndarray; near the cutoff its terms reach ~1e4 while the sum is O(1), so
-  plain double would lose ~3 digits.  The power and Gamma prefactor
-  (x/2)^p Gamma(a+1)^(+-1) is formed by ``_power_gamma``, the one routine
-  that ``transforms`` also writes its closed forms through;
-* larger x: one backward (Miller) recurrence in plain floats, normalized
-  through the Neumann-type sum (x/2)**mu = sum_k (mu+2k) Gamma(mu+k)/k!
-  J_{mu+2k}(x) for the fractional base order mu in [0, 1); orders in
-  (-1, 0) step down from nu+1 and nu+2.  Against 40-digit mpmath its worst
-  absolute error is 8.0e-16 over 240 points x in (12, 60]
-  at orders {0, 0.5, 3.7, 10, 25, 40} (80-bit arithmetic: 7.4e-16), and
-  8.7e-15 at (0.5, 1000), set by the double ``lgamma`` weights.
+  plain double would lose ~3 digits;
+* larger x: one backward (Miller) recurrence on j_small itself, in plain
+  floats, j_{q-1} = j_q - (x^2/4) j_{q+1} / (q (q+1)).  It holds no power
+  and no Gamma, so nothing overflows where j_small is O(1) and J
+  underflows (from order 262 at x = 13).  It runs on the ladder mu +
+  integer, mu = nu - floor(nu) in [0, 1), one row below mu for nu in
+  (-1, 0), and is normalized through the Neumann sum
+  sum_k W_k j_{mu+2k} = 1, by Horner's rule in the ratios W_{k+1}/W_k,
+  with W_0 = 1.  The trial values fall and rise again over about
+  e^(0.7 x) (2^3593 at x = 5000), so they are rescaled by 2^-+500
+  whenever they leave [2^-500, 2^500].  Against 50-digit mpmath its worst
+  relative error is 2.5e-14 over 152 points, orders from -0.999 to 1000
+  and x from 12.5 to 60 (1.9e-16 absolute, near a zero of J_0 at x = 40);
+  ``bessel_j`` is within 3.4e-16 absolute over 240 points x in (12, 60]
+  at orders {0, 0.5, 3.7, 10, 25, 40}, and j_small(0.5, x) within 1.5e-14
+  relative of sin(x)/x up to x = 20000.
 
 The series cutoff is a fixed constant.  Pushing the series out to x ~ 2*order
 for large orders loses 10+ digits to cancellation (the terms peak near
 I_order(x) while the sum is O(1) or less), so the cutoff does not scale with
-the order; the Miller branch is stable for every order >= 0 once x exceeds
+the order; the Miller branch is stable for every order > -1 once x exceeds
 the cutoff.  Cross-regime continuity is pinned by tests.
 """
 
@@ -49,6 +57,9 @@ _SERIES_TERM_BOUND = 1e-21
 _MILLER_MAX_ROWS = 10**5
 
 _TINY = 2.0 ** -1022  # the smallest normal double
+
+# The Miller recurrence rescales its trial values back into [1/_SCALE, _SCALE].
+_SCALE = 2.0 ** 500
 
 # Gamma for real x; ValueError at the poles x = 0, -1, -2, ..., OverflowError
 # once the result exceeds the double range (x > ~171.6).
@@ -76,88 +87,84 @@ def _j_small_series(nu, x):
 
 
 def _miller_start(order, x):
-    """Start of the backward recurrence for J_order(x), far enough above
+    """Start of the backward recurrence at order ``order``, far enough above
     max(x, order) that the downward tail has decayed below the precision."""
     m_int = int(math.floor(order))
     return m_int + max(0, int(math.ceil(x - m_int))) + int(12.0 * max(x, order) ** (1.0 / 3.0)) + 26
 
 
-def _bessel_miller(order, x):
-    """Backward (Miller) recurrence for J_order(x), x above the series cutoff.
+def _miller(order, x):
+    """j_small(order, x) by the backward (Miller) recurrence, for order > -1
+    and x above the series cutoff.
 
-    Runs the two-term recurrence downward from ``_miller_start`` and
-    rescales through the fractional Neumann sum
-    (x/2)**mu = sum_k (mu+2k) Gamma(mu+k)/k! J_{mu+2k}(x), mu = frac(order).
+    Runs j_{q-1} = j_q - h j_{q+1} / (q (q+1)), h = x^2/4, down the ladder
+    mu + n, mu = order - floor(order), from ``_miller_start`` to
+    min(order, mu), and normalizes through the Neumann sum
+    sum_k W_k j_{mu+2k} = 1, W_k = (mu+2k) Gamma(mu+k) h^k / (k! Gamma(mu+2k+1)),
+    by Horner's rule in W_{k+1}/W_k = h (mu+k) / ((k+1) (mu+2k) (mu+2k+1)).
     """
-    m_int = int(math.floor(order))
-    mu = order - m_int  # fractional base order in [0, 1)
-    jp = 0.0  # J~ at order q+1
-    jc = 1e-30  # J~ at order q
-    target = 0.0
-    ssum = 0.0
-    for q_off in range(_miller_start(order, x), -1, -1):
-        q = mu + q_off
-        jp, jc = jc, (2 * q / x) * jc - jp
-        qm = q_off - 1
-        if qm == m_int:
+    m_int = math.floor(order)
+    mu = order - m_int  # base order in [0, 1)
+    h = 0.25 * x * x
+    jp, jc, target, total = 0.0, 1.0, 0.0, 0.0  # trial j at orders q+1 and q
+    for n in range(_miller_start(order, x) - 1, min(m_int, 0) - 1, -1):
+        q = mu + n + 1  # one step down, from order q to mu + n
+        jp, jc = jc, jc - h * jp / (q * (q + 1))
+        if n == m_int:
             target = jc
-        if qm >= 0 and qm % 2 == 0:
-            k = qm // 2
-            w = math.exp(math.lgamma(mu + k) - math.lgamma(k + 1)) * (mu + 2 * k) \
-                if (mu > 0 or k > 0) else math.exp(math.lgamma(mu + 1))
-            ssum += w * jc
-        if abs(jc) > 1e200:
-            jp, jc, ssum, target = jp * 1e-200, jc * 1e-200, ssum * 1e-200, target * 1e-200
-    return target * math.exp(mu * math.log(x / 2)) / ssum
+        if n >= 0 and n % 2 == 0:
+            k = n // 2
+            ratio = h * ((mu + k) / (mu + 2 * k) if k else 1.0) / ((k + 1) * (mu + 2 * k + 1))
+            total = jc + ratio * total
+        size = abs(jc) + abs(jp)
+        if not 1.0 / _SCALE <= size <= _SCALE:  # trial values span ~e^(0.7 x)
+            scale = 1.0 / _SCALE if size > 1.0 else _SCALE
+            jp, jc, total, target = jp * scale, jc * scale, total * scale, target * scale
+    return target / total
 
 
-def _power_gamma(x, p, a, sign):
-    """(x/2)^p Gamma(a+1)^sign, sign = +1 or -1, for x > 0 and a > -1: from
-    x**p 2**-p and Gamma where both and the result are normal floats, else
-    in log space, which loses |p log(x/2)| ulps (9.3e-14 of J_40(1e-6)).
-    Not (x/2)**p: x/2 rounds 5e-324 to 0."""
+def _power_gamma(x, p, a):
+    """(x/2)^p / Gamma(a+1) for x > 0 and a > -1: from x**p 2**-p and Gamma
+    where both and the result are normal floats, else in log space, which
+    loses |p log(x/2)| ulps (9.3e-14 of J_40(1e-6)).  Not (x/2)**p: x/2
+    rounds 5e-324 to 0."""
     try:
         x_p, gamma = x ** p, math.gamma(a + 1)
         power = x_p * 2.0 ** -p
-        out = power * gamma if sign > 0 else power / gamma
+        out = power / gamma
         if _TINY <= min(x_p, power, out) and out < math.inf:
             return out
     except OverflowError:
         pass
-    return math.exp(p * (math.log(x) - math.log(2.0)) + sign * math.lgamma(a + 1))
+    return math.exp(p * (math.log(x) - math.log(2.0)) - math.lgamma(a + 1))
 
 
-def _bessel(nu, x, small):
-    """J_nu(x), or j_small(nu, x) where ``small``, for nu > -1 and x > 0.
-
-    The series gives j_small, the Miller recurrence J_nu (stepping down from
-    nu+1 and nu+2 for nu < 0); the other takes the ``_power_gamma`` factor.
-    The Miller cost grows with max(nu, x): a start above _MILLER_MAX_ROWS
-    is a ValueError.
-    """
+def _j_small(nu, x):
+    """j_small(nu, x) for nu > -1 and x > 0: the series up to the cutoff,
+    the Miller recurrence above it, whose cost grows with max(nu, x): a
+    start above _MILLER_MAX_ROWS is a ValueError."""
     if x <= _SERIES_CUTOFF:
-        j = _j_small_series(nu, x)
-        return j if small else _power_gamma(x, nu, nu, -1) * j
+        return _j_small_series(nu, x)
     if _miller_start(nu, x) > _MILLER_MAX_ROWS:
-        raise ValueError(f"the Miller recurrence of J at order {nu} and x = {x} "
+        raise ValueError(f"the Miller recurrence at order {nu} and x = {x} "
                          f"would run more than {_MILLER_MAX_ROWS} rows")
-    if nu >= 0:
-        j = _bessel_miller(nu, x)
-    else:
-        j = (2 * (nu + 1) / x) * _bessel_miller(nu + 1, x) - _bessel_miller(nu + 2, x)
-    return _power_gamma(x, -nu, nu, 1) * j if small else j
+    return _miller(nu, x)
 
 
 def bessel_j(order, x):
     """Bessel function of the first kind J_order(x), real order >= 0, x >= 0.
 
-    Absolute error <= 1e-12 for x <= 60 and order <= 40.  Non-finite order
-    or x raises ValueError, as does a Miller start above _MILLER_MAX_ROWS.
+    j_small times ``_power_gamma``; absolute error <= 1e-12 for x <= 60 and
+    order <= 40.  Non-finite order or x raises ValueError, as does a Miller
+    start above _MILLER_MAX_ROWS.  Far past that domain J keeps the factor's
+    log-space ulps, up to about 2e-12 relative at x = 1000 to 1600, and
+    from x = 1428 at orders near x/2, where j_small underflows, the factor
+    overflows: OverflowError.
     """
     order, x = _checked("bessel_j", "order", order, x, 0.0)
     if x == 0.0:
         return 1.0 if order == 0.0 else 0.0
-    return _bessel(order, x, small=False)
+    return _j_small(order, x) * _power_gamma(x, order, order)
 
 
 def j_small(nu, x):
@@ -166,7 +173,7 @@ def j_small(nu, x):
     Defined for nu > -1 and finite x >= 0, within the row cap of ``bessel_j``.
     """
     nu, x = _checked("j_small", "nu", nu, x, -1.0, strict=True)
-    return 1.0 if x == 0.0 else _bessel(nu, x, small=True)
+    return 1.0 if x == 0.0 else _j_small(nu, x)
 
 
 def j_script(nu, x):
@@ -177,7 +184,7 @@ def j_script(nu, x):
     nu, x = _checked("j_script", "nu", nu, x, -0.5)
     if x == 0.0:
         return math.sqrt(2.0 / math.pi) if nu == -0.5 else 0.0
-    return math.sqrt(x) * _bessel(nu, x, small=False)
+    return math.sqrt(x) * (_j_small(nu, x) * _power_gamma(x, nu, nu))
 
 
 def j_script_array(order, z):

@@ -43,11 +43,9 @@ validated.  Every closed form goes through ``specfun._power_gamma`` and
 whose factors neither overflow nor underflow to a wrong limit at tiny x.
 The Gamma(beta+n+1)/n! of ``lemma1_rhs`` is their quotient where both are
 finite and is formed in log space where either overflows (n >~ 170).  So ``lemma1_rhs``
-is right for every x > 0, down to 5e-324, wherever ``j_small`` is finite,
-pinned to 1e-13 by tests at Bessel orders 199 and 261 and to 1e-12 at
-n = 171 and 200.  Above x = 12 ``j_small`` overflows at high order, from
-order 262 at x = 13 (369 at x = 40, 427 at x = 60), and ``lemma1_rhs``
-raises OverflowError there.
+is right for every x > 0, down to 5e-324, pinned to 1e-13 by tests at
+Bessel orders 199 and 261, to 1e-12 at n = 171 and 200, and to 1e-11 at
+orders 263 and 369 above x = 12, where the value is subnormal.
 """
 
 import cmath
@@ -83,7 +81,7 @@ def lemma1_rhs(alpha, beta, n, x):
         ratio = gamma_fn(beta + n + 1) / (math.sqrt(2.0) * math.factorial(n))
     except OverflowError:  # Gamma(beta+n+1) or n! past the double range, n >~ 170
         ratio = math.exp(math.lgamma(beta + n + 1) - math.lgamma(n + 1)) / math.sqrt(2.0)
-    return ratio * _power_gamma(x, alpha + 2 * n + 0.5, a, -1) * j_small(a, x)
+    return ratio * _power_gamma(x, alpha + 2 * n + 0.5, a) * j_small(a, x)
 
 
 def _rising(a, k):
@@ -94,14 +92,14 @@ def _rising(a, k):
 def _disk_shape(nu, n, m, rho, vartheta):
     # = (2/rho)^(nu+1) J_{nu+n+m+1}(rho)
     a = nu + n + m + 1
-    return (_power_gamma(rho, n + m, a, -1) * j_small(a, rho)
+    return (_power_gamma(rho, n + m, a) * j_small(a, rho)
             * cmath.exp(1j * (n - m) * vartheta))
 
 
 def _gegen2d_shape(nu, n, k, rho, phi):
     # = rho^-(nu+1) J_{nu+n+1}(rho)
     a = nu + n + 1
-    return (2.0 ** -(nu + 1) * _power_gamma(rho, n, a, -1) * j_small(a, rho)
+    return (2.0 ** -(nu + 1) * _power_gamma(rho, n, a) * j_small(a, rho)
             * math.sin(phi) ** k * float(gegenbauer_c(n - k, nu + k + 1, math.cos(phi))))
 
 

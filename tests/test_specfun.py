@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from diskslepian import _ddarith as dd
 from diskslepian import specfun as sf
-from diskslepian.specfun import _SERIES_CUTOFF, _SERIES_TERM_BOUND, _bessel_miller
+from diskslepian.specfun import _SERIES_CUTOFF, _j_small_series, _miller, _power_gamma
 
 import oracles
 
@@ -21,14 +21,14 @@ J_0_1 = 0.7651976865579665514497175
 
 
 def cross_regime_gap():
-    """Largest |series - Miller| over a band around the cutoff; the series
-    runs here past the cutoff too, so both branches meet at every point."""
+    """Largest |series - Miller| of J over a band around the cutoff; the
+    series runs here past the cutoff too, so both branches meet at every
+    point."""
     gap = 0.0
     for order in (0.0, 0.5, 3.7, 10.0, 25.0, 40.0):
         for x in np.linspace(_SERIES_CUTOFF - 0.5, _SERIES_CUTOFF + 0.5, 11):
-            series = dd.to_float(dd.jsmall_series(order, float(x), 0.0, _SERIES_TERM_BOUND))
-            a = (x / 2.0) ** order / math.gamma(order + 1.0) * series
-            gap = max(gap, abs(a - _bessel_miller(order, float(x))))
+            a = (x / 2.0) ** order / math.gamma(order + 1.0) * _j_small_series(order, float(x))
+            gap = max(gap, abs(a - _power_gamma(float(x), order, order) * _miller(order, float(x))))
     return gap
 
 
@@ -90,6 +90,14 @@ class TestBesselJ:
         # both evaluation branches must agree in a band around the cutoff
         assert cross_regime_gap() <= 2e-15
 
+    @pytest.mark.parametrize("order", [100.0, 262.0, 300.0, 600.0])
+    def test_cross_regime_continuity_at_high_order(self, order):
+        # in j_small units, where J underflows and (x/2)^-order
+        # Gamma(order+1) overflows from order 262 at x = 12.5
+        for x in np.linspace(_SERIES_CUTOFF - 0.5, _SERIES_CUTOFF + 0.5, 11):
+            series = _j_small_series(order, float(x))
+            assert abs(_miller(order, float(x)) - series) <= 1e-14 * abs(series)
+
     @pytest.mark.parametrize("fn", [sf.bessel_j, sf.j_small, sf.j_script])
     @pytest.mark.parametrize("order, x, bad", [
         (math.nan, 3.0, "order"), (math.inf, 3.0, "order"),
@@ -143,17 +151,27 @@ def test_j_small_past_the_validated_orders(order):
         assert abs(sf.j_small(order, x) - ref) <= 1e-13 * abs(ref)
 
 
-@pytest.mark.xfail(strict=True, raises=OverflowError,
-                   reason="j_small overflows at high order past the series cutoff: the "
-                          "Miller branch multiplies a J that underflows by (x/2)^-nu "
-                          "Gamma(nu+1), which overflows (from order 262 at x = 13)")
-@pytest.mark.parametrize("order, x, value", [(300.0, 13.0, 0.86901222), (380.0, 40.0, 0.34947727)])
+@pytest.mark.parametrize("order, x, value", [(300.0, 13.0, 0.86901222), (380.0, 40.0, 0.34947727)]
+                         + [(o, x, None) for o in (262.0, 427.0, 600.0, 1000.0)
+                            for x in (12.5, 13.0, 40.0, 60.0)]
+                         + [(o, x, None) for o in (-0.9, -0.5, -0.1) for x in (12.5, 33.3, 55.0)])
 def test_j_small_at_high_order_past_the_cutoff(order, x, value):
+    # past order 261, J underflows here while (x/2)^-order Gamma(order+1)
+    # overflows; the negative orders take the recurrence's one extra row
+    # below the base order
     mp = oracles.mp
     with mp.workdps(50):
         ref = mp.gamma(order + 1) * (2 / mp.mpf(x)) ** order * oracles.bessel_j_mp(order, x)
-    assert abs(float(ref) - value) <= 1e-8
+    assert value is None or abs(float(ref) - value) <= 1e-8
     assert abs(sf.j_small(order, x) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("x", [1000.0, 5000.0, 20000.0])
+def test_j_small_half_order_at_large_argument(x):
+    # the trial values span about e^(0.7 x) on the way down, more than the
+    # double range from x ~ 2800; unless rescaled they end in NaN at 5000
+    ref = math.sin(x) / x
+    assert abs(sf.j_small(0.5, x) - ref) <= 1e-13 * abs(ref)
 
 
 class TestNormalizedVariants:

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,26 @@ class TestLemma:
         ref = oracles.lemma1_rhs_mp(a, b, n, x)
         assert abs(float(ref) - value) <= 1e-16 * value
         assert abs(tr.lemma1_rhs(a, b, n, x) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("a,b,n,x,value", [
+        (0, 0, 131, 13.0, 2.1458433741046342e-311),
+        (0, 0, 184, 40.0, 1.4062989098171415e-310)])
+    def test_bessel_order_past_261_above_the_series_cutoff(self, a, b, n, x, value):
+        # Bessel orders 263 and 369, where J underflows and (x/2)^-a
+        # Gamma(a+1) overflows while j_small is O(1); the value is subnormal,
+        # so it keeps about 40 bits
+        ref = oracles.lemma1_rhs_mp(a, b, n, x)
+        assert abs(float(ref) - value) <= 1e-16 * value
+        assert abs(tr.lemma1_rhs(a, b, n, x) - ref) <= 1e-11 * ref
+
+    def test_value_below_the_double_range_is_zero(self):
+        # the reference, 8.1e-445, is below the double range: the log-space
+        # factor underflows to 0 without a warning, and j_small stays finite
+        ref = oracles.lemma1_rhs_mp(0, 0, 171, 13.0)
+        assert oracles.mp.mpf("8.1e-445") < ref < oracles.mp.mpf("8.2e-445")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tr.lemma1_rhs(0, 0, 171, 13.0) == 0.0
 
     @pytest.mark.parametrize("a,b", itertools.product((0.0, 0.5, 1.0, 2.5), repeat=2))
     def test_parameter_grid_against_mpmath(self, a, b):
