@@ -8,8 +8,9 @@ against the normalized weight.  Both evaluators accept numpy arrays.
 
 import numpy as np
 
-from diskslepian import (SlepianParams, apply_finite_hankel, eval_phi,
-                         eval_psi, radial_rule, solve_modes)
+from diskslepian import SlepianParams, eval_phi, eval_psi, solve_modes
+from diskslepian.operators import apply_finite_hankel
+from diskslepian.quadrature import radial_rule
 
 nu, c, N = 0.5, 2.0, 1
 params = SlepianParams(nu=nu, c=c, N=N)

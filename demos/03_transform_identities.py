@@ -14,11 +14,11 @@ the shipped/printed ratio so the discrepancy stays visible.
 
 import math
 
-from diskslepian import (disk_poly, disk_transform_closed, gegenbauer2d,
-                         gegenbauer2d_transform_closed, lemma1_rhs)
 from diskslepian.operators import apply_finite_hankel, apply_weighted_fourier
-from diskslepian.orthopoly import jacobi_sequence
+from diskslepian.orthopoly import disk_poly, gegenbauer2d, jacobi_sequence
 from diskslepian.quadrature import disk_rule, radial_rule
+from diskslepian.transforms import (disk_transform_closed, gegenbauer2d_transform_closed,
+                                    lemma1_rhs)
 
 # --- finite Hankel transform of a Jacobi basis element -----------------
 alpha, beta, n, x = 1.0, 0.5, 2, 3.7

@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .slepian import (TAIL_TOLERANCE, ConvergenceError, SlepianParams, eval_phi, eval_psi,
                       solve_modes)
-from .transforms import disk_transform_closed, gegenbauer2d_transform_closed
 
 SCHEMA_VERSION = 1
 
@@ -202,6 +201,9 @@ def cmd_verify(args):
 
 
 def cmd_transform(args):
+    # imported here: the other commands need none of the closed forms
+    from .transforms import disk_transform_closed, gegenbauer2d_transform_closed
+
     try:
         if args.family == "disk":
             if args.m is None:

@@ -8,9 +8,13 @@ in this package:
 
 Gamma is the standard library's ``math.gamma``.  Every scalar Bessel value
 comes from j_small, by one routine, ``_j_small``, and one of two sums,
-returned in 64-bit precision on every platform; J and script-J are j_small
-times the power and Gamma factor (x/2)^p / Gamma(a+1) of ``_power_gamma``,
-the one routine that ``transforms`` also writes its closed forms through:
+returned in 64-bit precision on every platform as a mantissa and a binary
+exponent; J and script-J are j_small times the power and Gamma factor
+(x/2)^p / Gamma(a+1) of ``_power_gamma``, the one routine that
+``transforms`` also writes its closed forms through.  Where j_small is
+below the normal range, the factor takes its binary exponent instead, so
+J stays finite where both alone would not (j_small(500, 2000) = 8.8e-369,
+the factor e^842.5):
 
 * x <= _SERIES_CUTOFF: the ascending series sum_k (-x^2/4)^k / (k! (nu+1)_k)
   in double-double (``_ddarith.jsmall_series``), over a scalar or an
@@ -24,13 +28,17 @@ the one routine that ``transforms`` also writes its closed forms through:
   (-1, 0), and is normalized through the Neumann sum
   sum_k W_k j_{mu+2k} = 1, by Horner's rule in the ratios W_{k+1}/W_k,
   with W_0 = 1.  The trial values fall and rise again over about
-  e^(0.7 x) (2^3593 at x = 5000), so they are rescaled by 2^-+500
-  whenever they leave [2^-500, 2^500].  Against 50-digit mpmath its worst
-  relative error is 2.5e-14 over 152 points, orders from -0.999 to 1000
-  and x from 12.5 to 60 (1.9e-16 absolute, near a zero of J_0 at x = 40);
-  ``bessel_j`` is within 3.4e-16 absolute over 240 points x in (12, 60]
-  at orders {0, 0.5, 3.7, 10, 25, 40}, and j_small(0.5, x) within 1.5e-14
-  relative of sin(x)/x up to x = 20000.
+  e^(0.7 x) (2^3593 at x = 5000), so they are scaled back into [1/2, 1)
+  by a power of two whenever they leave [2^-500, 2^500]; the captured
+  target is not scaled, and the sum of those powers is its exponent.
+  Against 50-digit mpmath its worst relative error is 2.5e-14 over 152
+  points, orders from -0.999 to 1000 and x from 12.5 to 60 (1.9e-16
+  absolute, near a zero of J_0 at x = 40); ``bessel_j`` is within 3.4e-16
+  absolute over 240 points x in (12, 60] at orders {0, 0.5, 3.7, 10, 25,
+  40}, and j_small(0.5, x) within 1.5e-14 relative of sin(x)/x up to
+  x = 20000.  Far above, ``bessel_j`` keeps the log-space factor's ulps:
+  up to 2.9e-12 relative over 264 points x in [1000, 2000], orders 0.01x
+  to 1.2x, and 6.7e-12 at x = 3000.
 
 The series cutoff is a fixed constant.  Pushing the series out to x ~ 2*order
 for large orders loses 10+ digits to cancellation (the terms peak near
@@ -94,61 +102,79 @@ def _miller_start(order, x):
 
 
 def _miller(order, x):
-    """j_small(order, x) by the backward (Miller) recurrence, for order > -1
-    and x above the series cutoff.
+    """j_small(order, x) as a pair (m, e), j_small = m 2^e with
+    1/2 < |m| < 2, by the backward (Miller) recurrence, for order > -1 and
+    x above the series cutoff.
 
     Runs j_{q-1} = j_q - h j_{q+1} / (q (q+1)), h = x^2/4, down the ladder
     mu + n, mu = order - floor(order), from ``_miller_start`` to
     min(order, mu), and normalizes through the Neumann sum
     sum_k W_k j_{mu+2k} = 1, W_k = (mu+2k) Gamma(mu+k) h^k / (k! Gamma(mu+2k+1)),
     by Horner's rule in W_{k+1}/W_k = h (mu+k) / ((k+1) (mu+2k) (mu+2k+1)).
+    The target is not rescaled once captured; ``shift`` keeps the binary
+    exponent of the rescales since, so a j_small below the double range
+    (8.8e-369 at (500, 2000)) keeps its digits.
     """
     m_int = math.floor(order)
     mu = order - m_int  # base order in [0, 1)
     h = 0.25 * x * x
-    jp, jc, target, total = 0.0, 1.0, 0.0, 0.0  # trial j at orders q+1 and q
+    jp, jc, target, total, shift = 0.0, 1.0, 0.0, 0.0, 0  # trial j at orders q+1 and q
     for n in range(_miller_start(order, x) - 1, min(m_int, 0) - 1, -1):
         q = mu + n + 1  # one step down, from order q to mu + n
         jp, jc = jc, jc - h * jp / (q * (q + 1))
         if n == m_int:
-            target = jc
+            target, shift = jc, 0
         if n >= 0 and n % 2 == 0:
             k = n // 2
             ratio = h * ((mu + k) / (mu + 2 * k) if k else 1.0) / ((k + 1) * (mu + 2 * k + 1))
             total = jc + ratio * total
         size = abs(jc) + abs(jp)
         if not 1.0 / _SCALE <= size <= _SCALE:  # trial values span ~e^(0.7 x)
-            scale = 1.0 / _SCALE if size > 1.0 else _SCALE
-            jp, jc, total, target = jp * scale, jc * scale, total * scale, target * scale
-    return target / total
+            e = -math.frexp(size)[1]  # back to [1/2, 1)
+            jp, jc, total = math.ldexp(jp, e), math.ldexp(jc, e), math.ldexp(total, e)
+            shift += e
+    (m_target, e_target), (m_total, e_total) = math.frexp(target), math.frexp(total)
+    return m_target / m_total, e_target - e_total + shift
 
 
-def _power_gamma(x, p, a):
-    """(x/2)^p / Gamma(a+1) for x > 0 and a > -1: from x**p 2**-p and Gamma
-    where both and the result are normal floats, else in log space, which
-    loses |p log(x/2)| ulps (9.3e-14 of J_40(1e-6)).  Not (x/2)**p: x/2
-    rounds 5e-324 to 0."""
+def _power_gamma(x, p, a, e=0):
+    """2^e (x/2)^p / Gamma(a+1) for x > 0 and a > -1: from x**p 2**-p and
+    Gamma where both, their quotient and the result are normal floats, else
+    in log space, which loses |p log(x/2)| ulps (9.3e-14 of J_40(1e-6)).
+    Not (x/2)**p: x/2 rounds 5e-324 to 0."""
     try:
         x_p, gamma = x ** p, math.gamma(a + 1)
         power = x_p * 2.0 ** -p
-        out = power / gamma
-        if _TINY <= min(x_p, power, out) and out < math.inf:
+        ratio = power / gamma
+        out = math.ldexp(ratio, e)
+        if _TINY <= min(x_p, power, ratio, out) and out < math.inf:
             return out
     except OverflowError:
         pass
-    return math.exp(p * (math.log(x) - math.log(2.0)) - math.lgamma(a + 1))
+    return math.exp(p * (math.log(x) - math.log(2.0)) - math.lgamma(a + 1) + e * math.log(2.0))
 
 
 def _j_small(nu, x):
-    """j_small(nu, x) for nu > -1 and x > 0: the series up to the cutoff,
-    the Miller recurrence above it, whose cost grows with max(nu, x): a
-    start above _MILLER_MAX_ROWS is a ValueError."""
+    """j_small(nu, x) for nu > -1 and x > 0 as a pair (m, e), j_small = m 2^e:
+    the series up to the cutoff, the Miller recurrence above it, whose cost
+    grows with max(nu, x): a start above _MILLER_MAX_ROWS is a ValueError."""
     if x <= _SERIES_CUTOFF:
-        return _j_small_series(nu, x)
+        return math.frexp(_j_small_series(nu, x))
     if _miller_start(nu, x) > _MILLER_MAX_ROWS:
         raise ValueError(f"the Miller recurrence at order {nu} and x = {x} "
                          f"would run more than {_MILLER_MAX_ROWS} rows")
     return _miller(nu, x)
+
+
+def _bessel_j(nu, x):
+    """J_nu(x) for x > 0: j_small times (x/2)^nu / Gamma(nu+1), or, where
+    j_small is below the normal range (8.8e-369 at (500, 2000)), its
+    mantissa times the factor scaled by its binary exponent."""
+    m, e = _j_small(nu, x)
+    small = math.ldexp(m, e)
+    if abs(small) < _TINY:
+        return m * _power_gamma(x, nu, nu, e)
+    return small * _power_gamma(x, nu, nu)
 
 
 def bessel_j(order, x):
@@ -157,14 +183,12 @@ def bessel_j(order, x):
     j_small times ``_power_gamma``; absolute error <= 1e-12 for x <= 60 and
     order <= 40.  Non-finite order or x raises ValueError, as does a Miller
     start above _MILLER_MAX_ROWS.  Far past that domain J keeps the factor's
-    log-space ulps, up to about 2e-12 relative at x = 1000 to 1600, and
-    from x = 1428 at orders near x/2, where j_small underflows, the factor
-    overflows: OverflowError.
+    log-space ulps, up to about 3e-12 relative at x = 1000 to 2000.
     """
     order, x = _checked("bessel_j", "order", order, x, 0.0)
     if x == 0.0:
         return 1.0 if order == 0.0 else 0.0
-    return _j_small(order, x) * _power_gamma(x, order, order)
+    return _bessel_j(order, x)
 
 
 def j_small(nu, x):
@@ -173,7 +197,7 @@ def j_small(nu, x):
     Defined for nu > -1 and finite x >= 0, within the row cap of ``bessel_j``.
     """
     nu, x = _checked("j_small", "nu", nu, x, -1.0, strict=True)
-    return 1.0 if x == 0.0 else _j_small(nu, x)
+    return 1.0 if x == 0.0 else math.ldexp(*_j_small(nu, x))
 
 
 def j_script(nu, x):
@@ -184,7 +208,7 @@ def j_script(nu, x):
     nu, x = _checked("j_script", "nu", nu, x, -0.5)
     if x == 0.0:
         return math.sqrt(2.0 / math.pi) if nu == -0.5 else 0.0
-    return math.sqrt(x) * (_j_small(nu, x) * _power_gamma(x, nu, nu))
+    return math.sqrt(x) * _bessel_j(nu, x)
 
 
 def j_script_array(order, z):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from diskslepian import cli
+from diskslepian import cli, transforms
 from diskslepian.slepian import SlepianParams, eval_phi, eval_psi, solve_modes
 from diskslepian.transforms import ClosedFormResult
 
@@ -270,7 +270,7 @@ class TestTransformCommand:
             assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_non_finite_value_is_numerical_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "disk_transform_closed",
+        monkeypatch.setattr(transforms, "disk_transform_closed",
                             lambda *args: ClosedFormResult(complex(math.nan, 0.0), 1.0))
         code = run_cli("transform", "--family", "disk", "--nu", "1", "--n", "1",
                        "--m", "0", "--rho", "1.3")
@@ -433,6 +433,21 @@ class TestExitCodes:
                        "--modes", "1") == 2
 
 
+_COMMAND_IMPORTS_SCRIPT = """
+import contextlib, io, json, sys
+def package():
+    return {m for m in sys.modules if m.split('.')[0] == 'diskslepian'}
+import diskslepian.cli
+out = [sorted(package())]
+for argv in json.loads(sys.argv[1]):
+    before = package()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = diskslepian.cli.main(argv)
+    out.append([code, sorted(package() - before)])
+print(json.dumps(out))
+"""
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency: the runtime must not pay its import
     src = Path(__file__).resolve().parents[1] / "src"
@@ -442,9 +457,22 @@ def test_cli_import_loads_no_scipy():
                           text=True, check=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.stdout.strip() == "[]"
-    # nor the verification suites, which only cmd_verify imports
-    probe = "import diskslepian.cli, sys; print('diskslepian.verification' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True, timeout=60,
+    # nor the oracle, Bessel and closed-form layers: the solve commands add
+    # no package module, transform adds the closed forms and verify the
+    # oracles and suites
+    commands = [["eigs", "--nu", "0.5", "--c", "3", "--N", "1", "--modes", "3"],
+                ["eval", "--nu", "0.5", "--c", "3", "--N", "1", "--at", "0.5", "--at", "0.5:1"],
+                ["tabulate", "--nu", "0.5", "--c", "3", "--N", "1", "--grid-r", "4"],
+                ["transform", "--family", "disk", "--nu", "1", "--n", "1", "--m", "0",
+                 "--rho", "1.3"],
+                ["verify", "--suite", "lemma1", "--quick"]]
+    proc = subprocess.run([sys.executable, "-c", _COMMAND_IMPORTS_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True, check=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.stdout.strip() == "False"
+    loaded, *added = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == ["diskslepian", "diskslepian.cli", "diskslepian.orthopoly",
+                      "diskslepian.slepian"]
+    assert added == [[0, []], [0, []], [0, []],
+                     [0, ["diskslepian._ddarith", "diskslepian.specfun", "diskslepian.transforms"]],
+                     [0, ["diskslepian.operators", "diskslepian.quadrature",
+                          "diskslepian.verification"]]]

@@ -5,6 +5,8 @@ at zero without an error; it fails here instead."""
 
 import importlib
 
+import pytest
+
 import diskslepian
 from diskslepian import slepian as sl
 
@@ -20,6 +22,26 @@ LAYER_ATTRIBUTES = {
 
 def test_every_public_name_resolves():
     assert [name for name in diskslepian.__all__ if not hasattr(diskslepian, name)] == []
+
+
+# module -> the names it exports that the package root does not re-export
+# (the root keeps the solver and the polynomial families)
+MODULE_ONLY = {
+    "operators": ("apply_adjoint_fourier", "apply_finite_hankel", "apply_L",
+                  "apply_weighted_fourier", "kernel_K", "nystrom_hankel_eigs"),
+    "quadrature": ("DiskRule", "QuadratureRule", "disk_rule", "gauss_jacobi", "radial_rule"),
+    "specfun": ("bessel_j", "gamma_fn", "j_script", "j_small"),
+    "transforms": ("ClosedFormResult", "disk_transform_closed",
+                   "gegenbauer2d_transform_closed", "lemma1_rhs"),
+}
+
+
+@pytest.mark.parametrize("module", ["slepian", "orthopoly", "specfun", "transforms",
+                                    "quadrature", "operators"])
+def test_every_module_public_name_resolves(module):
+    mod = importlib.import_module(f"diskslepian.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    assert [name for name in MODULE_ONLY.get(module, ()) if name not in mod.__all__] == []
 
 
 def test_every_layer_attribute_exists():

@@ -28,7 +28,8 @@ def cross_regime_gap():
     for order in (0.0, 0.5, 3.7, 10.0, 25.0, 40.0):
         for x in np.linspace(_SERIES_CUTOFF - 0.5, _SERIES_CUTOFF + 0.5, 11):
             a = (x / 2.0) ** order / math.gamma(order + 1.0) * _j_small_series(order, float(x))
-            gap = max(gap, abs(a - _power_gamma(float(x), order, order) * _miller(order, float(x))))
+            gap = max(gap, abs(a - _power_gamma(float(x), order, order)
+                                 * math.ldexp(*_miller(order, float(x)))))
     return gap
 
 
@@ -96,7 +97,7 @@ class TestBesselJ:
         # Gamma(order+1) overflows from order 262 at x = 12.5
         for x in np.linspace(_SERIES_CUTOFF - 0.5, _SERIES_CUTOFF + 0.5, 11):
             series = _j_small_series(order, float(x))
-            assert abs(_miller(order, float(x)) - series) <= 1e-14 * abs(series)
+            assert abs(math.ldexp(*_miller(order, float(x))) - series) <= 1e-14 * abs(series)
 
     @pytest.mark.parametrize("fn", [sf.bessel_j, sf.j_small, sf.j_script])
     @pytest.mark.parametrize("order, x, bad", [
@@ -164,6 +165,20 @@ def test_j_small_at_high_order_past_the_cutoff(order, x, value):
         ref = mp.gamma(order + 1) * (2 / mp.mpf(x)) ** order * oracles.bessel_j_mp(order, x)
     assert value is None or abs(float(ref) - value) <= 1e-8
     assert abs(sf.j_small(order, x) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("order, x, value", [(500.0, 2000.0, 0.0072148248211038814),
+                                             (713.0, 1428.0, 0.015120387404872565),
+                                             (1000.0, 2000.0, 0.013364551284220439)])
+def test_bessel_j_where_j_small_is_below_the_double_range(order, x, value):
+    # j_small underflows here (8.8e-369 at (500, 2000)) while
+    # (x/2)^order / Gamma(order+1) overflows, so J takes j_small's binary
+    # exponent; the log-space factor costs up to about 2e-12
+    ref = oracles.bessel_j_mp(order, x)
+    assert abs(float(ref) - value) <= 1e-15 * value
+    assert abs(sf.bessel_j(order, x) - ref) <= 1e-11 * abs(ref)
+    ref_script = oracles.mp.sqrt(x) * ref
+    assert abs(sf.j_script(order, x) - ref_script) <= 1e-11 * abs(ref_script)
 
 
 @pytest.mark.parametrize("x", [1000.0, 5000.0, 20000.0])
@@ -299,11 +314,11 @@ import json, math, sys
 import numpy
 numpy.longdouble = numpy.float64
 numpy.clongdouble = numpy.complex128
-import diskslepian
+from diskslepian.specfun import j_script
 sys.path.insert(0, sys.argv[1])
 from test_specfun import cross_regime_gap
 print(json.dumps({
-    "j_script_err": abs(diskslepian.j_script(0.5, 11.0) - math.sqrt(2 / math.pi) * math.sin(11.0)),
+    "j_script_err": abs(j_script(0.5, 11.0) - math.sqrt(2 / math.pi) * math.sin(11.0)),
     "gap": cross_regime_gap(),
 }))
 """
