@@ -16,6 +16,8 @@ Bessel series, ``jsmall_series``, for two users:
   |dlambda| <= ||dM||); dd entries sit near 1e-32 relative.
 """
 
+import functools
+
 import numpy as np
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
@@ -127,27 +129,15 @@ def dot(uh, ul, vh, vl):
     return dd_sum(ph, pe, axis=0)
 
 
-# order -> dd coefficients 1 / (k! (order+1)_k), k = 0, 1, ..., as far as
-# any call has needed them.  Emptied when it holds _MAX_ORDERS orders, so a
-# sweep over many orders does not grow it without bound
-_SERIES_COEFFS = {}
-_MAX_ORDERS = 256
-
-
+@functools.lru_cache(maxsize=256)
 def _series_coeffs(order, count):
-    """At least the first ``count`` dd coefficients 1 / (k! (order+1)_k) of
-    ``jsmall_series``, each from the one before it.  A longer request extends
-    a copy of the cached list and stores it, so a list another caller holds
-    never changes."""
-    coeffs = _SERIES_COEFFS.get(order, [(1.0, 0.0)])
-    if len(coeffs) < count:
-        coeffs = list(coeffs)
-        for k in range(len(coeffs), count):
-            coeffs.append(div(coeffs[-1], mul_d(two_sum(order, float(k)), float(k))))
-        if len(_SERIES_COEFFS) >= _MAX_ORDERS:
-            _SERIES_COEFFS.clear()
-        _SERIES_COEFFS[order] = coeffs
-    return coeffs
+    """The first ``count`` dd coefficients 1 / (k! (order+1)_k) of
+    ``jsmall_series``, each from the one before it.  The cache is bounded,
+    so a sweep over many orders does not grow it without bound."""
+    coeffs = [(1.0, 0.0)]
+    for k in range(1, count):
+        coeffs.append(div(coeffs[-1], mul_d(two_sum(order, float(k)), float(k))))
+    return tuple(coeffs)
 
 
 def jsmall_series(order, zh, zl, tol):

@@ -71,6 +71,13 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _emit_table(config, header, rows, fmt, out_path):
+    if fmt == "json":
+        _emit(_json_payload(config, [dict(zip(header, row)) for row in rows]), out_path)
+    else:
+        _emit(_csv(header, rows), out_path)
+
+
 def _params_from(args):
     try:
         return SlepianParams(nu=args.nu, c=args.c, N=args.N)
@@ -88,14 +95,8 @@ def cmd_eigs(args):
               "truncation": modes[0].truncation, "format": args.format}
     rows = [(params.N, m.n, m.chi, m.mu, m.lam.real, m.lam.imag, m.truncation)
             for m in modes]
-    if args.format == "csv":
-        _emit(_csv(("N", "n", "chi", "mu", "lambda_re", "lambda_im", "truncation"),
-                   rows), args.out)
-    else:
-        results = [{"N": r[0], "n": r[1], "chi": r[2], "mu": r[3],
-                    "lambda_re": r[4], "lambda_im": r[5], "truncation": r[6]}
-                   for r in rows]
-        _emit(_json_payload(config, results), args.out)
+    _emit_table(config, ("N", "n", "chi", "mu", "lambda_re", "lambda_im", "truncation"),
+                rows, args.format, args.out)
     return 0
 
 
@@ -167,11 +168,7 @@ def cmd_tabulate(args):
     config = {"command": "tabulate", "nu": params.nu, "c": params.c,
               "N": params.N, "mode": args.mode, "grid_r": args.grid_r,
               "grid_theta": args.grid_theta, "truncation": mode.truncation}
-    if args.format == "json":
-        results = [dict(zip(header, row)) for row in rows]
-        _emit(_json_payload(config, results), args.out)
-    else:
-        _emit(_csv(header, rows), args.out)
+    _emit_table(config, header, rows, args.format, args.out)
     return 0
 
 

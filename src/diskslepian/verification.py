@@ -15,6 +15,7 @@ integrand scale); the acceptance tests check the corners below that floor
 against an arbitrary-precision oracle at the same ``LEMMA1_TOL``.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -77,6 +78,14 @@ def _fourier(nu, rule, vals, rho, angle):
                                       rule)
 
 
+def _ratio_error(nu, rule, vals, shape, p1, p2):
+    """Relative error of the two-point ratio of the quadrature transform, at
+    the (rho, angle) points p1 and p2, against that of ``shape(rho, angle)``:
+    a check of the closed form that needs no constant."""
+    q = _fourier(nu, rule, vals, *p1) / _fourier(nu, rule, vals, *p2)
+    return abs(q - shape(*p1) / shape(*p2)) / abs(q)
+
+
 def lemma1_grid(quick=False):
     """The lemma1 suite's grid, corners below LEMMA1_FLOOR included: one
     (a, b, n, xs, rhs) per Jacobi basis element, rhs its closed form at xs."""
@@ -119,13 +128,10 @@ def suite_theorem41(quick=False):
                              f"derived={c00:.12g}"))
         for (n, m) in ratio_pairs:
             vals = disk_poly(n, m, nu, rule.rs, rule.angles)
-            vth = 0.9
-            q1 = _fourier(nu, rule, vals, 0.8, vth)
-            q2 = _fourier(nu, rule, vals, 1.6, vth)
-            s1 = tr._disk_shape(nu, n, m, 0.8, vth)
-            s2 = tr._disk_shape(nu, n, m, 1.6, vth)
+            shape = functools.partial(tr._disk_shape, nu, n, m)
             checks.append(_check(f"thm41 ratio nu={nu} n={n} m={m}",
-                                 abs(q1 / q2 - s1 / s2) / abs(q1 / q2), 1e-6))
+                                 _ratio_error(nu, rule, vals, shape, (0.8, 0.9), (1.6, 0.9)),
+                                 1e-6))
         for (n, m) in grid_pairs:
             vals = disk_poly(n, m, nu, rule.rs, rule.angles)
             errs, scale = [], 0.0
@@ -160,20 +166,13 @@ def suite_theorem42(quick=False):
             pairs = [(0, 0), (2, 1), (3, 3)]
         for (n, k) in pairs:
             vals = gegenbauer2d(n, k, nu + 0.5, rule.xs, rule.ys)
-            phi = 1.1
-            f1 = _fourier(nu, rule, vals, 0.9, phi)
-            f2 = _fourier(nu, rule, vals, 1.7, phi)
-            s1 = tr._gegen2d_shape(nu, n, k, 0.9, phi)
-            s2 = tr._gegen2d_shape(nu, n, k, 1.7, phi)
+            shape = functools.partial(tr._gegen2d_shape, nu, n, k)
             checks.append(_check(f"thm42 rho-ratio nu={nu} n={n} k={k}",
-                                 abs(f1 / f2 - s1 / s2) / abs(f1 / f2), 1e-6))
-            rho = 1.3
-            g1 = _fourier(nu, rule, vals, rho, 0.5)
-            g2 = _fourier(nu, rule, vals, rho, 2.2)
-            t1 = tr._gegen2d_shape(nu, n, k, rho, 0.5)
-            t2 = tr._gegen2d_shape(nu, n, k, rho, 2.2)
+                                 _ratio_error(nu, rule, vals, shape, (0.9, 1.1), (1.7, 1.1)),
+                                 1e-6))
             checks.append(_check(f"thm42 phi-ratio nu={nu} n={n} k={k}",
-                                 abs(g1 / g2 - t1 / t2) / abs(g1 / g2), 1e-6))
+                                 _ratio_error(nu, rule, vals, shape, (1.3, 0.5), (1.3, 2.2)),
+                                 1e-6))
     return checks
 
 

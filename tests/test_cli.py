@@ -417,13 +417,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         *(("eigs", "--nu", nu, "--c", "1", "--N", "0", "--modes", "1")
           for nu in ("1e155", "1e160", "1e300")),
+        ("eigs", "--nu", "0", "--c", "1000", "--N", "60", "--modes", "3"),
         ("eigs", "--nu", "0", "--c", "1000", "--N", "400", "--modes", "3"),
-    ], ids=["1e155", "1e160", "1e300", "N400"])
+    ], ids=["1e155", "1e160", "1e300", "N60", "N400"])
     def test_overflowing_spectral_matrix_is_numerical_failure(self, capsys, argv):
         # the recurrence coefficients overflow for nu >~ 1e154; below that
-        # the |lambda| <= 1 guard refuses the solve.  At N = 400 the norms
-        # h_k underflow to 0 within the truncation: the matrix stays finite,
-        # and the mu step refuses the inf weights h_k^(-1/2)
+        # the |lambda| <= 1 guard refuses the solve.  At N = 60 the wrong
+        # high-order mu are refused by the 1/c contraction bound.  At N = 400
+        # the norms h_k underflow to 0 within the truncation: the matrix
+        # stays finite, and the mu step refuses the inf weights h_k^(-1/2)
         code, out = run_cli_out(capsys, *argv)
         assert code == 3
         assert out == ""

@@ -1,9 +1,14 @@
-"""The package's public names, and the module attributes that the benchmark's
-per-layer metrics wrap by name.  The layer tracer skips an attribute that
-does not exist, so a refactor that drops or moves one would leave its metric
-at zero without an error; it fails here instead."""
+"""The package's modules and public names, and the module attributes that
+the benchmark's per-layer metrics wrap by name.  The layer tracer skips an
+attribute that does not exist, so a refactor that drops or moves one would
+leave its metric at zero without an error; it fails here instead."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,33 @@ LAYER_ATTRIBUTES = {
     "operators": ("nystrom_hankel_eigs", "apply_finite_hankel", "radial_rule"),
     "verification": ("radial_rule", "disk_rule"),
 }
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_EACH_MODULE_IMPORT_SCRIPT = """
+import importlib, json, pkgutil, sys
+names = ["diskslepian"] + [f"diskslepian.{m.name}" for m in pkgutil.iter_modules([sys.argv[1]])]
+for name in names:
+    for key in [k for k in sys.modules if k.split(".")[0] == "diskslepian"]:
+        del sys.modules[key]
+    importlib.import_module(name)
+print(json.dumps(names))
+"""
+
+
+def test_each_module_imports_alone_without_warnings():
+    # a module that leans on another having been imported first, or that
+    # warns at import (a warning is an error here), fails in its own import
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _EACH_MODULE_IMPORT_SCRIPT,
+                           str(SRC / "diskslepian")],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        "diskslepian", "diskslepian._ddarith", "diskslepian.cli", "diskslepian.operators",
+        "diskslepian.orthopoly", "diskslepian.quadrature", "diskslepian.slepian",
+        "diskslepian.specfun", "diskslepian.transforms", "diskslepian.verification"]
 
 
 def test_every_public_name_resolves():

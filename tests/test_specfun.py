@@ -274,9 +274,9 @@ print(json.dumps(out))
 """
 
 
-def test_series_does_not_depend_on_the_coefficient_cache(monkeypatch):
-    # the cached coefficients of an order are extended call by call and
-    # shared across tolerances; each value must equal the one built from an
+def test_series_does_not_depend_on_the_coefficient_cache():
+    # the cached coefficients of an order and term count are shared by every
+    # call that needs them; each value must equal the one built from an
     # empty cache, bit for bit, whatever calls came before it
     args = [(1.3, 11.5, 1e-21), (1.3, 0.5, 1e-21), (1.3, 12.0, 1e-35), (0.0, 3.0, 1e-21),
             (1.3, np.array([0.5, 6.0, 12.0]), 1e-35), (0.0, 12.0, 1e-21), (1.3, 2.0, 1e-21)]
@@ -285,10 +285,10 @@ def test_series_does_not_depend_on_the_coefficient_cache(monkeypatch):
         out = dd.jsmall_series(order, z, np.zeros_like(z), tol)
         return np.asarray(out[0]).tobytes() + np.asarray(out[1]).tobytes()
 
-    monkeypatch.setattr(dd, "_SERIES_COEFFS", {})
+    dd._series_coeffs.cache_clear()
     warm = [series(*a) for a in args]
     for a, got in zip(args, warm):
-        monkeypatch.setattr(dd, "_SERIES_COEFFS", {})
+        dd._series_coeffs.cache_clear()
         assert series(*a) == got
 
 
